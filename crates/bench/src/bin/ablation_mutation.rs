@@ -55,7 +55,6 @@ fn main() {
                     })
                     .collect(),
                 sinks: w.sinks.clone(),
-                trace: false,
                 record: false,
                 enforcement: false,
                 exec: Default::default(),

@@ -34,8 +34,8 @@
 use ldx::{BatchEngine, BatchJob, InstrumentCache};
 use ldx_baselines::ei_dual_execute;
 use ldx_bench::{
-    finish_summary, geomean, json_f64, json_str, mean, median_duration, perf_workloads,
-    run_dual_timed, run_native_timed, BenchSummary,
+    finish_summary, geomean, json_f64, mean, median_duration, perf_workloads, run_dual_timed,
+    run_native_timed, BenchSummary,
 };
 use ldx_dualex::{DualSpec, Mutation, SourceSpec};
 use ldx_runtime::ExecConfig;
@@ -81,7 +81,6 @@ fn main() {
                 })
                 .collect(),
             sinks: w.sinks.clone(),
-            trace: false,
             record: false,
             enforcement: false,
             exec: ExecConfig::default(),
@@ -234,7 +233,7 @@ fn write_metrics(
         programs.push_str(&format!(
             "\n    {{\"program\": {}, \"sequential_wall_s\": {}, \"parallel_wall_s\": {}, \
              \"queue_latency_s\": {}, \"worker\": {}, \"leaked\": {}}}",
-            json_str(&s.label),
+            ldx::obs::json_string(&s.label),
             json_f64(s.wall.as_secs_f64()),
             json_f64(p.wall.as_secs_f64()),
             json_f64(p.queue_latency.as_secs_f64()),

@@ -15,6 +15,7 @@
 //! The Criterion benches in `benches/` measure the same quantities under a
 //! statistics harness.
 
+use ldx::obs::json_string;
 use ldx_dualex::{dual_execute, DualReport, DualSpec};
 use ldx_ir::IrProgram;
 use ldx_runtime::{run_program, ExecConfig, NativeHooks, RunOutcome, Trap};
@@ -192,27 +193,6 @@ pub fn perf_workloads() -> Vec<(Workload, VosConfig)> {
         .collect()
 }
 
-/// Escapes and quotes a string for the hand-rolled JSON writers (the
-/// harness emits machine-readable metrics without pulling a serializer
-/// into the measurement binaries).
-pub fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 /// Formats a float as a JSON number (`null` for non-finite values, which
 /// JSON cannot represent).
 pub fn json_f64(x: f64) -> String {
@@ -303,7 +283,7 @@ impl BenchSummary {
             }
             phases.push_str(&format!(
                 "\n    {{\"name\": {}, \"ns\": {}}}",
-                json_str(label),
+                json_string(label),
                 dur.as_nanos()
             ));
         }
@@ -312,13 +292,13 @@ impl BenchSummary {
             if !counters.is_empty() {
                 counters.push(',');
             }
-            counters.push_str(&format!("\n    {}: {}", json_str(c.name), c.value));
+            counters.push_str(&format!("\n    {}: {}", json_string(c.name), c.value));
         }
         format!(
             "{{\n  \"schema\": \"ldx-bench-summary-v1\",\n  \"name\": {},\n  \
              \"wall_ns\": {},\n  \"phases\": [{phases}\n  ],\n  \
              \"counters\": {{{counters}\n  }}\n}}\n",
-            json_str(self.name),
+            json_string(self.name),
             self.started.elapsed().as_nanos()
         )
     }
@@ -418,10 +398,7 @@ mod tests {
     }
 
     #[test]
-    fn json_helpers_escape_and_format() {
-        assert_eq!(json_str("plain"), "\"plain\"");
-        assert_eq!(json_str("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
-        assert_eq!(json_str("\u{1}"), "\"\\u0001\"");
+    fn json_f64_nulls_non_finite_values() {
         assert_eq!(json_f64(1.5), "1.500000");
         assert_eq!(json_f64(f64::NAN), "null");
         assert_eq!(json_f64(f64::INFINITY), "null");

@@ -135,8 +135,8 @@ fn build_analysis(program_path: &str, experiment_path: Option<&str>) -> Result<A
             analysis = analysis.source(s);
         }
         analysis = analysis.sinks(experiment.spec.sinks);
-        if experiment.spec.trace {
-            analysis = analysis.traced();
+        if experiment.spec.record {
+            analysis = analysis.recorded();
         }
         if experiment.spec.enforcement {
             analysis = analysis.enforcing();

@@ -50,7 +50,6 @@ fn pruned_report() -> DualReport {
         shared: 0,
         decoupled: 0,
         master_sinks: 0,
-        trace: vec![],
         flight: ldx_dualex::FlightLog::default(),
     }
 }
@@ -125,7 +124,6 @@ impl Analysis {
                 let single = DualSpec {
                     sources: vec![source.clone()],
                     sinks: spec.sinks.clone(),
-                    trace: false,
                     record: spec.record,
                     enforcement: false,
                     exec: spec.exec,
@@ -233,7 +231,6 @@ impl Analysis {
                         mutation: mutation.clone(),
                     }],
                     sinks: spec.sinks.clone(),
-                    trace: false,
                     record: spec.record,
                     enforcement: false,
                     exec: spec.exec,

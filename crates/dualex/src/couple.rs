@@ -8,12 +8,12 @@
 //! thread exit so the peer never blocks forever.
 
 use crate::recorder::{
-    FlightEvent, FlightLog, FlightRecorder, ResourceId, DEFAULT_FLIGHT_CAPACITY,
+    Decision, FlightEvent, FlightLog, FlightRecorder, ResourceId, DEFAULT_FLIGHT_CAPACITY,
 };
-use crate::report::{CausalityRecord, Role, TraceAction, TraceEvent};
+use crate::report::{CausalityRecord, Role};
 use ldx_ir::{FuncId, SiteId};
 use ldx_lang::Syscall;
-use ldx_runtime::{ProgressKey, StopSignal, ThreadKey, Value};
+use ldx_runtime::{ProgressKey, StopSignal, SyscallCtx, ThreadKey, Value};
 use parking_lot::{Condvar, Mutex};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -81,6 +81,42 @@ impl Pair {
     }
 }
 
+/// The syscall instance an interposition decision is about.
+pub(crate) struct Call<'a> {
+    pub thread: &'a ThreadKey,
+    pub key: &'a ProgressKey,
+    pub func: FuncId,
+    pub site: SiteId,
+    pub sys: Syscall,
+    pub is_sink: bool,
+}
+
+impl<'a> Call<'a> {
+    /// The syscall the hooks are interposing on.
+    pub fn at(ctx: &'a SyscallCtx, is_sink: bool) -> Self {
+        Call {
+            thread: &ctx.thread,
+            key: &ctx.key,
+            func: ctx.func,
+            site: ctx.site,
+            sys: ctx.sys,
+            is_sink,
+        }
+    }
+
+    /// A queued master syscall of `thread`.
+    pub fn entry(thread: &'a ThreadKey, entry: &'a Entry) -> Self {
+        Call {
+            thread,
+            key: &entry.key,
+            func: entry.func,
+            site: entry.site,
+            sys: entry.sys,
+            is_sink: entry.is_sink,
+        }
+    }
+}
+
 /// Counters shared by the two wrappers.
 #[derive(Debug, Default)]
 pub(crate) struct CouplingStats {
@@ -100,7 +136,6 @@ pub(crate) struct Coupling {
     pub master_exec_done: AtomicBool,
     pub slave_exec_done: AtomicBool,
     pub records: Mutex<Vec<CausalityRecord>>,
-    pub trace: Option<Mutex<Vec<TraceEvent>>>,
     pub stats: CouplingStats,
     /// Paths with diverged state (paper §7 resource tainting).
     pub tainted_paths: Mutex<HashSet<String>>,
@@ -112,15 +147,13 @@ pub(crate) struct Coupling {
 }
 
 impl Coupling {
-    /// Creates coupling state; `trace` enables alignment-trace recording,
-    /// `record` enables the flight recorder.
-    pub fn new(trace: bool, record: bool) -> Self {
+    /// Creates coupling state; `record` enables the flight recorder.
+    pub fn new(record: bool) -> Self {
         Coupling {
             pairs: Mutex::new(HashMap::new()),
             master_exec_done: AtomicBool::new(false),
             slave_exec_done: AtomicBool::new(false),
             records: Mutex::new(Vec::new()),
-            trace: trace.then(|| Mutex::new(Vec::new())),
             stats: CouplingStats::default(),
             tainted_paths: Mutex::new(HashSet::new()),
             tainted_locks: Mutex::new(HashSet::new()),
@@ -135,6 +168,36 @@ impl Coupling {
         if let Some(r) = &self.recorder {
             r.record(role, event());
         }
+    }
+
+    /// Reports one Alg. 2 interposition decision: bumps the counter the
+    /// decision implies, fires its `ldx_obs` instant, and — only when
+    /// recording — appends the flight event to `role`'s lane.
+    pub fn note(&self, role: Role, decision: Decision, call: Call<'_>) {
+        let stats = &self.stats;
+        let (counter, instant) = match decision {
+            Decision::Executed => (call.is_sink.then_some(&stats.master_sinks), None),
+            Decision::Shared => (Some(&stats.shared), Some("aligned-reuse")),
+            Decision::Compared => (None, Some("sink-compare")),
+            Decision::Decoupled => (Some(&stats.decoupled), Some("decoupled")),
+            Decision::MasterOnly => ((!call.is_sink).then_some(&stats.diffs), None),
+            Decision::SlaveOnly => (None, None),
+        };
+        if let Some(counter) = counter {
+            counter.fetch_add(1, Ordering::Relaxed);
+        }
+        if let Some(name) = instant {
+            ldx_obs::instant(ldx_obs::cat::SYSCALL_DECISION, name);
+        }
+        self.flight(role, || FlightEvent::Syscall {
+            decision,
+            thread: call.thread.clone(),
+            func: call.func,
+            site: call.site,
+            sys: call.sys,
+            key: call.key.clone(),
+            is_sink: call.is_sink,
+        });
     }
 
     /// Drains the flight recorder (empty log when recording was off).
@@ -185,33 +248,6 @@ impl Coupling {
         self.records.lock().push(record);
     }
 
-    /// Appends a trace event, if tracing is enabled.
-    pub fn trace_event(&self, event: TraceEvent) {
-        if let Some(t) = &self.trace {
-            t.lock().push(event);
-        }
-    }
-
-    /// Convenience trace constructor.
-    pub fn trace_syscall(
-        &self,
-        role: Role,
-        thread: &ThreadKey,
-        key: &ProgressKey,
-        sys: Option<Syscall>,
-        action: TraceAction,
-    ) {
-        if self.trace.is_some() {
-            self.trace_event(TraceEvent {
-                role,
-                thread: thread.clone(),
-                key: key.clone(),
-                sys,
-                action,
-            });
-        }
-    }
-
     /// Marks a filesystem path as tainted, recording the first divergence
     /// on each path as a flight event (in the slave lane: only the slave's
     /// decoupled execution taints).
@@ -257,30 +293,20 @@ impl Coupling {
                 if entry.consumed {
                     continue;
                 }
-                self.flight(Role::Master, || {
-                    let cnt = crate::recorder::key_scalar(&entry.key);
-                    FlightEvent::Syscall {
-                        decision: crate::recorder::Decision::MasterOnly,
-                        thread: thread.clone(),
-                        func: entry.func,
-                        site: entry.site,
-                        sys: entry.sys,
-                        master_cnt: cnt,
-                        slave_cnt: cnt,
-                        is_sink: entry.is_sink,
-                    }
-                });
+                self.note(
+                    Role::Master,
+                    Decision::MasterOnly,
+                    Call::entry(thread, &entry),
+                );
                 if entry.is_sink {
                     self.record(CausalityRecord {
                         kind: crate::report::CausalityKind::MasterOnlySink,
                         thread: thread.clone(),
-                        key: entry.key.clone(),
+                        key: entry.key,
                         func: entry.func,
                         site: entry.site,
                         sys: entry.sys,
                     });
-                } else {
-                    self.stats.diffs.fetch_add(1, Ordering::Relaxed);
                 }
             }
         }
@@ -315,7 +341,7 @@ mod tests {
 
     #[test]
     fn pair_publish_and_finish() {
-        let c = Coupling::new(false, false);
+        let c = Coupling::new(false);
         let t = ThreadKey::root();
         let p = c.pair(&t);
         p.publish(Role::Master, ProgressKey::start());
@@ -328,7 +354,7 @@ mod tests {
 
     #[test]
     fn pair_created_after_execution_end_is_released() {
-        let c = Coupling::new(false, false);
+        let c = Coupling::new(false);
         c.finish_execution(Role::Master);
         let p = c.pair(&ThreadKey::root().child(3));
         assert!(p.inner.lock().master_done);
@@ -336,7 +362,7 @@ mod tests {
 
     #[test]
     fn finish_execution_releases_existing_pairs() {
-        let c = Coupling::new(false, false);
+        let c = Coupling::new(false);
         let p = c.pair(&ThreadKey::root());
         assert!(!p.inner.lock().master_done);
         c.finish_execution(Role::Master);
@@ -345,7 +371,7 @@ mod tests {
 
     #[test]
     fn taint_normalizes_paths() {
-        let c = Coupling::new(false, false);
+        let c = Coupling::new(false);
         c.taint_path("/a//b/");
         assert!(c.path_tainted("a/b"));
         assert!(!c.path_tainted("/a"));
@@ -353,7 +379,7 @@ mod tests {
 
     #[test]
     fn wait_until_releases_on_stop() {
-        let c = Coupling::new(false, false);
+        let c = Coupling::new(false);
         let p = c.pair(&ThreadKey::root());
         let stop = StopSignal::new();
         stop.request_exit(0);
@@ -363,7 +389,7 @@ mod tests {
 
     #[test]
     fn wait_until_observes_condition() {
-        let c = Arc::new(Coupling::new(false, false));
+        let c = Arc::new(Coupling::new(false));
         let p = c.pair(&ThreadKey::root());
         let p2 = Arc::clone(&p);
         let h = std::thread::spawn(move || {
@@ -382,7 +408,7 @@ mod tests {
 
     #[test]
     fn reconcile_counts_master_only_entries() {
-        let c = Coupling::new(false, false);
+        let c = Coupling::new(false);
         let t = ThreadKey::root();
         let p = c.pair(&t);
         {

@@ -45,7 +45,7 @@ pub fn dual_execute(program: Arc<IrProgram>, config: &VosConfig, spec: &DualSpec
 }
 
 fn dual_execute_inner(program: Arc<IrProgram>, config: &VosConfig, spec: &DualSpec) -> DualReport {
-    let coupling = Arc::new(Coupling::new(spec.trace, spec.record));
+    let coupling = Arc::new(Coupling::new(spec.record));
     let master_vos = Arc::new(Vos::new(config));
 
     let sinks = ResolvedSinks::resolve(spec, &program);
@@ -152,11 +152,6 @@ fn dual_execute_inner(program: Arc<IrProgram>, config: &VosConfig, spec: &DualSp
     }
 
     let causality = coupling.records.lock().clone();
-    let trace = coupling
-        .trace
-        .as_ref()
-        .map(|t| t.lock().clone())
-        .unwrap_or_default();
     DualReport {
         causality,
         master: master_result,
@@ -165,7 +160,6 @@ fn dual_execute_inner(program: Arc<IrProgram>, config: &VosConfig, spec: &DualSp
         shared: coupling.stats.shared.load(Ordering::Relaxed),
         decoupled: coupling.stats.decoupled.load(Ordering::Relaxed),
         master_sinks: coupling.stats.master_sinks.load(Ordering::Relaxed),
-        trace,
         flight,
     }
 }

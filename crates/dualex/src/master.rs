@@ -9,9 +9,9 @@
 //! reaches — which detects exactly the same causality set without the
 //! master-side stall (deviation documented in DESIGN.md).
 
-use crate::couple::{wait_until, Coupling, Entry};
+use crate::couple::{wait_until, Call, Coupling, Entry};
 use crate::recorder::{key_scalar, Decision, FlightEvent};
-use crate::report::{Role, TraceAction};
+use crate::report::Role;
 use crate::resolved::ResolvedSinks;
 use ldx_lang::Syscall;
 use ldx_runtime::{
@@ -19,7 +19,6 @@ use ldx_runtime::{
     SyscallCtx, SyscallHooks, ThreadKey, Trap, Value,
 };
 use ldx_vos::Vos;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -55,32 +54,8 @@ impl MasterHooks {
         inner.master_ready = Some(ctx.key.clone());
         drop(inner);
         pair.cv.notify_all();
-        if is_sink {
-            self.coupling
-                .stats
-                .master_sinks
-                .fetch_add(1, Ordering::Relaxed);
-        }
-        self.coupling.trace_syscall(
-            Role::Master,
-            &ctx.thread,
-            &ctx.key,
-            Some(ctx.sys),
-            TraceAction::Executed,
-        );
-        self.coupling.flight(Role::Master, || {
-            let cnt = key_scalar(&ctx.key);
-            FlightEvent::Syscall {
-                decision: Decision::Executed,
-                thread: ctx.thread.clone(),
-                func: ctx.func,
-                site: ctx.site,
-                sys: ctx.sys,
-                master_cnt: cnt,
-                slave_cnt: cnt,
-                is_sink,
-            }
-        });
+        self.coupling
+            .note(Role::Master, Decision::Executed, Call::at(ctx, is_sink));
     }
 }
 
@@ -151,10 +126,7 @@ impl SyscallHooks for MasterHooks {
         // iteration barrier.
         let pair = self.coupling.pair(thread);
         pair.publish(Role::Master, key.clone());
-        self.coupling
-            .trace_syscall(Role::Master, thread, key, None, TraceAction::Barrier);
         self.coupling.flight(Role::Master, || {
-            let cnt = key_scalar(key);
             let peer = pair
                 .inner
                 .lock()
@@ -164,8 +136,8 @@ impl SyscallHooks for MasterHooks {
                 .unwrap_or(0);
             FlightEvent::Barrier {
                 thread: thread.clone(),
-                cnt,
-                delta: peer.saturating_sub(cnt),
+                key: key.clone(),
+                delta: peer.saturating_sub(key_scalar(key)),
             }
         });
         if self.enforcement {

@@ -3,11 +3,14 @@
 //!
 //! The causality report says *that* a (source, sink) pair is causal; the
 //! flight recorder keeps the evidence trail of *why*: each syscall
-//! interposition decision with the master and slave progress-counter
-//! values, every resource-taint / copy-on-write clone with the resource
-//! id, every barrier release with the counter delta seen at release, the
-//! source mutations applied, and at diverging sinks a bounded byte-level
-//! diff of the payloads.
+//! interposition decision with its progress key, every resource-taint /
+//! copy-on-write clone with the resource id, every barrier release with
+//! the counter delta seen at release, the source mutations applied, and
+//! at diverging sinks a bounded byte-level diff of the payloads.
+//!
+//! The flight log is the engine's only per-decision record: the paper's
+//! Figure 3/5 alignment trace ([`crate::DualReport::trace_lines`]) and
+//! `ldx explain` are both renderings of it.
 //!
 //! # Determinism
 //!
@@ -45,7 +48,8 @@ pub const DEFAULT_FLIGHT_CAPACITY: usize = 1 << 14;
 pub const EXCERPT_BYTES: usize = 48;
 
 /// Collapses a progress key to a scalar (sum of frame counters and loop
-/// epochs): the coarse "progress counter value" reported in events.
+/// epochs): the coarse "progress counter value" of stall and barrier
+/// deltas and of `ldx explain` renderings.
 pub fn key_scalar(key: &ProgressKey) -> u64 {
     key.frames
         .iter()
@@ -66,7 +70,8 @@ pub enum Decision {
     Shared,
     /// The slave executed against its private overlay.
     Decoupled,
-    /// An aligned sink was compared (equal payloads).
+    /// An aligned sink was compared (a `SinkDiff` follows when the
+    /// payloads differ).
     Compared,
     /// A master-only syscall the slave skipped (no alignment).
     MasterOnly,
@@ -177,11 +182,7 @@ pub fn excerpt(s: &str) -> String {
 /// sits in (see [`FlightLog`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FlightEvent {
-    /// A syscall interposition decision, with both progress-counter
-    /// values at the point alignment was resolved. For slave decisions
-    /// against an aligned entry, `master_cnt` is the entry's counter;
-    /// when the slave decouples because the master is provably past,
-    /// both carry the slave's counter (a lower bound on the master's).
+    /// A syscall interposition decision (one per Alg. 2 decision).
     Syscall {
         /// What was decided.
         decision: Decision,
@@ -193,11 +194,11 @@ pub enum FlightEvent {
         site: SiteId,
         /// The syscall.
         sys: Syscall,
-        /// Master progress-counter scalar at resolution.
-        master_cnt: u64,
-        /// Slave progress-counter scalar at resolution (equals
-        /// `master_cnt` for master-lane `Executed` events).
-        slave_cnt: u64,
+        /// Progress key of the syscall instance: the acting role's key,
+        /// or for `MasterOnly` the master's key at the skipped syscall.
+        /// Aligned decisions (`Shared`, `Compared`) have equal keys on
+        /// both sides.
+        key: ProgressKey,
         /// Whether the site is a sink under the spec.
         is_sink: bool,
     },
@@ -218,8 +219,8 @@ pub enum FlightEvent {
     Barrier {
         /// The releasing thread.
         thread: ThreadKey,
-        /// This role's progress-counter scalar at release.
-        cnt: u64,
+        /// This role's progress key at release.
+        key: ProgressKey,
         /// How far the peer's published counter was past ours at release
         /// (0 when unknown or behind). Timing-dependent; forensic only.
         delta: u64,
@@ -234,8 +235,8 @@ pub enum FlightEvent {
         site: SiteId,
         /// The source syscall.
         sys: Syscall,
-        /// Progress-counter scalar at the mutation.
-        cnt: u64,
+        /// Progress key at the mutation.
+        key: ProgressKey,
         /// Bounded excerpt of the original outcome.
         original: String,
         /// Bounded excerpt of the mutated outcome.
@@ -251,8 +252,8 @@ pub enum FlightEvent {
         site: SiteId,
         /// The sink syscall.
         sys: Syscall,
-        /// Progress-counter scalar at the sink.
-        cnt: u64,
+        /// Progress key at the sink.
+        key: ProgressKey,
         /// The bounded payload diff.
         diff: ByteDiff,
     },
@@ -269,7 +270,8 @@ impl FlightEvent {
         }
     }
 
-    /// Stable lowercase kind name (used by the JSON export).
+    /// Stable lowercase kind name (the alignment-trace label and the
+    /// JSON export's vocabulary).
     pub fn kind(&self) -> &'static str {
         match self {
             FlightEvent::Syscall { decision, .. } => decision.name(),
@@ -388,8 +390,8 @@ mod tests {
     fn ev(n: u64) -> FlightEvent {
         FlightEvent::Barrier {
             thread: ThreadKey::root(),
-            cnt: n,
-            delta: 0,
+            key: ProgressKey::start(),
+            delta: n,
         }
     }
 

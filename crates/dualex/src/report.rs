@@ -1,6 +1,6 @@
 //! Causality reports and dual-execution outcome types.
 
-use crate::recorder::FlightLog;
+use crate::recorder::{FlightEvent, FlightLog};
 use ldx_ir::{FuncId, SiteId};
 use ldx_lang::Syscall;
 use ldx_runtime::{ProgressKey, RunOutcome, ThreadKey, Trap};
@@ -74,21 +74,6 @@ impl fmt::Display for CausalityRecord {
     }
 }
 
-/// One line of the alignment trace (reproduces paper Figures 3 and 5).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TraceEvent {
-    /// Which execution acted.
-    pub role: Role,
-    /// The thread.
-    pub thread: ThreadKey,
-    /// Progress key.
-    pub key: ProgressKey,
-    /// Syscall (None for barriers).
-    pub sys: Option<Syscall>,
-    /// What happened.
-    pub action: TraceAction,
-}
-
 /// Master or slave.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Role {
@@ -104,40 +89,6 @@ impl fmt::Display for Role {
             Role::Master => write!(f, "M"),
             Role::Slave => write!(f, "S"),
         }
-    }
-}
-
-/// What a trace event records.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TraceAction {
-    /// Master executed and recorded the outcome.
-    Executed,
-    /// Slave copied the master's aligned outcome.
-    Copied,
-    /// Slave executed decoupled (no alignment).
-    Decoupled,
-    /// Slave copied an aligned *source* outcome and mutated it.
-    Mutated,
-    /// Sink compared equal.
-    SinkMatch,
-    /// Sink difference (causality).
-    SinkDiff,
-    /// Loop-backedge barrier crossed.
-    Barrier,
-}
-
-impl fmt::Display for TraceAction {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            TraceAction::Executed => "exec",
-            TraceAction::Copied => "copy",
-            TraceAction::Decoupled => "decoupled",
-            TraceAction::Mutated => "copy+mutate",
-            TraceAction::SinkMatch => "sink=",
-            TraceAction::SinkDiff => "sink!",
-            TraceAction::Barrier => "barrier",
-        };
-        write!(f, "{s}")
     }
 }
 
@@ -159,8 +110,6 @@ pub struct DualReport {
     pub decoupled: u64,
     /// Total sink *instances* the master encountered.
     pub master_sinks: u64,
-    /// The alignment trace, when requested.
-    pub trace: Vec<TraceEvent>,
     /// The divergence flight log, when `DualSpec::record` was set (empty
     /// otherwise).
     pub flight: FlightLog,
@@ -190,16 +139,32 @@ impl DualReport {
             .len()
     }
 
-    /// Renders the trace like the paper's figures.
+    /// Renders the flight log as the alignment trace of the paper's
+    /// Figures 3 and 5: the master lane, then the slave lane, one
+    /// `role thread cnt=<key> sys label` line per event anchored at a
+    /// progress key (`-` for a barrier's syscall). Labels are
+    /// [`FlightEvent::kind`]; resource events (taint, CoW clone) carry no
+    /// key and are left out. Empty unless the run was recorded.
     pub fn trace_lines(&self) -> Vec<String> {
-        self.trace
-            .iter()
-            .map(|e| {
-                let sys = e
-                    .sys
-                    .map(|s| s.to_string())
-                    .unwrap_or_else(|| "-".to_string());
-                format!("{} {} cnt={} {} {}", e.role, e.thread, e.key, sys, e.action)
+        [Role::Master, Role::Slave]
+            .into_iter()
+            .flat_map(|role| {
+                self.flight.lane(role).iter().filter_map(move |ev| {
+                    let (thread, key, sys) = match ev {
+                        FlightEvent::Syscall {
+                            thread, key, sys, ..
+                        }
+                        | FlightEvent::Mutated {
+                            thread, key, sys, ..
+                        }
+                        | FlightEvent::SinkDiff {
+                            thread, key, sys, ..
+                        } => (thread, key, sys.to_string()),
+                        FlightEvent::Barrier { thread, key, .. } => (thread, key, "-".to_string()),
+                        FlightEvent::Taint { .. } | FlightEvent::CowClone { .. } => return None,
+                    };
+                    Some(format!("{role} {thread} cnt={key} {sys} {}", ev.kind()))
+                })
             })
             .collect()
     }
@@ -229,7 +194,6 @@ mod tests {
             shared: 0,
             decoupled: 0,
             master_sinks: 0,
-            trace: vec![],
             flight: FlightLog::default(),
         }
     }
@@ -274,19 +238,32 @@ mod tests {
     }
 
     #[test]
-    fn trace_lines_render() {
+    fn trace_lines_render_master_lane_first() {
         let mut r = empty_report();
-        r.trace.push(TraceEvent {
-            role: Role::Slave,
+        r.flight.slave.push(FlightEvent::Syscall {
+            decision: crate::Decision::Shared,
+            thread: ThreadKey::root(),
+            func: FuncId(0),
+            site: SiteId(0),
+            sys: Syscall::Read,
+            key: ProgressKey::start(),
+            is_sink: false,
+        });
+        r.flight.slave.push(FlightEvent::Taint {
+            resource: crate::ResourceId::Lock(1),
+        });
+        r.flight.master.push(FlightEvent::Barrier {
             thread: ThreadKey::root(),
             key: ProgressKey::start(),
-            sys: Some(Syscall::Read),
-            action: TraceAction::Copied,
+            delta: 0,
         });
-        let lines = r.trace_lines();
-        assert_eq!(lines.len(), 1);
-        assert!(lines[0].starts_with("S t0"));
-        assert!(lines[0].contains("read"));
-        assert!(lines[0].contains("copy"));
+        let key = ProgressKey::start();
+        assert_eq!(
+            r.trace_lines(),
+            vec![
+                format!("M t0 cnt={key} - barrier"),
+                format!("S t0 cnt={key} read shared"),
+            ]
+        );
     }
 }

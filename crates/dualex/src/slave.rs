@@ -17,11 +17,11 @@
 //! Source-matched input outcomes are mutated (this is where the
 //! counterfactual perturbation enters the slave).
 
-use crate::couple::Coupling;
+use crate::couple::{Call, Coupling};
 use crate::fdmap::{FdInfo, Resource, SlaveFdMap};
 use crate::mutation::Mutation;
 use crate::recorder::{excerpt, key_scalar, ByteDiff, Decision, FlightEvent, ResourceId};
-use crate::report::{CausalityKind, CausalityRecord, Role, TraceAction};
+use crate::report::{CausalityKind, CausalityRecord, Role};
 use crate::resolved::{ResolvedMatcher, ResolvedSinks, ResolvedSources};
 use ldx_lang::Syscall;
 use ldx_runtime::{
@@ -82,36 +82,16 @@ impl SlaveHooks {
         });
     }
 
+    /// A sink the master provably never reaches at this key.
+    fn slave_only_sink(&self, ctx: &SyscallCtx) {
+        self.coupling
+            .note(Role::Slave, Decision::SlaveOnly, Call::at(ctx, true));
+        self.record_sink(ctx, CausalityKind::SlaveOnlySink);
+    }
+
     fn render_args(args: &[Value]) -> String {
         let parts: Vec<String> = args.iter().map(Value::stringify).collect();
         parts.join(", ")
-    }
-
-    /// Records a slave-lane syscall-decision flight event. All events the
-    /// slave witnesses — including master-only entries it skips — land in
-    /// the slave lane so each lane has a single writer while both
-    /// executions run concurrently.
-    #[allow(clippy::too_many_arguments)]
-    fn flight_decision(
-        &self,
-        decision: Decision,
-        ctx: &SyscallCtx,
-        func: ldx_ir::FuncId,
-        site: ldx_ir::SiteId,
-        sys: Syscall,
-        master_cnt: u64,
-        is_sink: bool,
-    ) {
-        self.coupling.flight(Role::Slave, || FlightEvent::Syscall {
-            decision,
-            thread: ctx.thread.clone(),
-            func,
-            site,
-            sys,
-            master_cnt,
-            slave_cnt: key_scalar(&ctx.key),
-            is_sink,
-        });
     }
 
     /// The alignment state machine, instrumented. When observability is
@@ -147,7 +127,9 @@ impl SlaveHooks {
     /// The alignment state machine. Never blocks forever: released by the
     /// master's progress, the master's termination, the stop signal, or
     /// the safety timeout. `waits` counts condvar blocks for the caller's
-    /// stall accounting.
+    /// stall accounting. Every decision the slave witnesses — including
+    /// master-only entries it skips — lands in the slave lane, so each
+    /// lane has a single writer while both executions run.
     fn align_inner(
         &self,
         ctx: &SyscallCtx,
@@ -169,14 +151,10 @@ impl SlaveHooks {
                     ProgressOrder::Behind => {
                         // A master-only syscall the slave will never issue.
                         let e = inner.queue.pop_front().expect("front exists");
-                        self.flight_decision(
+                        self.coupling.note(
+                            Role::Slave,
                             Decision::MasterOnly,
-                            ctx,
-                            e.func,
-                            e.site,
-                            e.sys,
-                            key_scalar(&e.key),
-                            e.is_sink,
+                            Call::entry(&ctx.thread, &e),
                         );
                         if e.is_sink {
                             self.coupling.record(CausalityRecord {
@@ -187,66 +165,39 @@ impl SlaveHooks {
                                 site: e.site,
                                 sys: e.sys,
                             });
-                        } else {
-                            self.coupling.stats.diffs.fetch_add(1, Ordering::Relaxed);
                         }
                     }
                     ProgressOrder::Equal => {
                         if front.site == ctx.site && front.sys == ctx.sys {
                             if front.args == args {
                                 let e = inner.queue.pop_front().expect("front exists");
-                                self.flight_decision(
-                                    if is_sink {
-                                        Decision::Compared
-                                    } else {
-                                        Decision::Shared
-                                    },
-                                    ctx,
-                                    ctx.func,
-                                    ctx.site,
-                                    ctx.sys,
-                                    key_scalar(&e.key),
-                                    is_sink,
-                                );
-                                self.coupling.stats.shared.fetch_add(1, Ordering::Relaxed);
-                                ldx_obs::instant(
-                                    ldx_obs::cat::SYSCALL_DECISION,
-                                    if is_sink {
-                                        "sink-compare"
-                                    } else {
-                                        "aligned-reuse"
-                                    },
-                                );
-                                if is_sink {
-                                    self.coupling.trace_syscall(
-                                        Role::Slave,
-                                        &ctx.thread,
-                                        &ctx.key,
-                                        Some(ctx.sys),
-                                        TraceAction::SinkMatch,
-                                    );
-                                }
+                                let decision = if is_sink {
+                                    // Equal payloads: the sink's outcome is
+                                    // shared too, which `Compared` alone
+                                    // does not imply.
+                                    self.coupling.stats.shared.fetch_add(1, Ordering::Relaxed);
+                                    Decision::Compared
+                                } else {
+                                    Decision::Shared
+                                };
+                                self.coupling
+                                    .note(Role::Slave, decision, Call::at(ctx, is_sink));
                                 return Align::Shared(e.outcome);
                             }
                             // Same site, different arguments (Alg. 2 case 3).
                             let e = inner.queue.pop_front().expect("front exists");
                             if is_sink {
-                                ldx_obs::instant(ldx_obs::cat::SYSCALL_DECISION, "sink-compare");
-                                self.flight_decision(
+                                self.coupling.note(
+                                    Role::Slave,
                                     Decision::Compared,
-                                    ctx,
-                                    ctx.func,
-                                    ctx.site,
-                                    ctx.sys,
-                                    key_scalar(&e.key),
-                                    true,
+                                    Call::at(ctx, true),
                                 );
                                 self.coupling.flight(Role::Slave, || FlightEvent::SinkDiff {
                                     thread: ctx.thread.clone(),
                                     func: ctx.func,
                                     site: ctx.site,
                                     sys: ctx.sys,
-                                    cnt: key_scalar(&ctx.key),
+                                    key: ctx.key.clone(),
                                     diff: ByteDiff::compute(
                                         &Self::render_args(&e.args),
                                         &Self::render_args(args),
@@ -259,28 +210,19 @@ impl SlaveHooks {
                                         slave: Self::render_args(args),
                                     },
                                 );
-                                self.coupling.trace_syscall(
-                                    Role::Slave,
-                                    &ctx.thread,
-                                    &ctx.key,
-                                    Some(ctx.sys),
-                                    TraceAction::SinkDiff,
-                                );
                             } else {
+                                // A non-sink argument mismatch has no
+                                // flight event of its own.
                                 self.coupling.stats.diffs.fetch_add(1, Ordering::Relaxed);
                             }
                             return Align::Decoupled;
                         }
                         // Same key, different site (Alg. 2 case 2).
                         let e = inner.queue.pop_front().expect("front exists");
-                        self.flight_decision(
+                        self.coupling.note(
+                            Role::Slave,
                             Decision::MasterOnly,
-                            ctx,
-                            e.func,
-                            e.site,
-                            e.sys,
-                            key_scalar(&e.key),
-                            e.is_sink,
+                            Call::entry(&ctx.thread, &e),
                         );
                         if e.is_sink {
                             self.coupling.record(CausalityRecord {
@@ -291,20 +233,9 @@ impl SlaveHooks {
                                 site: e.site,
                                 sys: e.sys,
                             });
-                        } else {
-                            self.coupling.stats.diffs.fetch_add(1, Ordering::Relaxed);
                         }
                         if is_sink {
-                            self.flight_decision(
-                                Decision::SlaveOnly,
-                                ctx,
-                                ctx.func,
-                                ctx.site,
-                                ctx.sys,
-                                key_scalar(&ctx.key),
-                                true,
-                            );
-                            self.record_sink(ctx, CausalityKind::SlaveOnlySink);
+                            self.slave_only_sink(ctx);
                         }
                         return Align::Decoupled;
                     }
@@ -312,23 +243,7 @@ impl SlaveHooks {
                         // The master is already past this key: no alignment
                         // will ever exist (Alg. 2 case 1).
                         if is_sink {
-                            self.flight_decision(
-                                Decision::SlaveOnly,
-                                ctx,
-                                ctx.func,
-                                ctx.site,
-                                ctx.sys,
-                                key_scalar(&ctx.key),
-                                true,
-                            );
-                            self.record_sink(ctx, CausalityKind::SlaveOnlySink);
-                            self.coupling.trace_syscall(
-                                Role::Slave,
-                                &ctx.thread,
-                                &ctx.key,
-                                Some(ctx.sys),
-                                TraceAction::SinkDiff,
-                            );
+                            self.slave_only_sink(ctx);
                         }
                         return Align::Decoupled;
                     }
@@ -343,16 +258,7 @@ impl SlaveHooks {
                     .is_some_and(|r| !matches!(r.cmp_progress(&ctx.key), ProgressOrder::Behind));
             if master_past {
                 if is_sink {
-                    self.flight_decision(
-                        Decision::SlaveOnly,
-                        ctx,
-                        ctx.func,
-                        ctx.site,
-                        ctx.sys,
-                        key_scalar(&ctx.key),
-                        true,
-                    );
-                    self.record_sink(ctx, CausalityKind::SlaveOnlySink);
+                    self.slave_only_sink(ctx);
                 }
                 return Align::Decoupled;
             }
@@ -532,30 +438,14 @@ impl SlaveHooks {
     }
 
     /// Executes a syscall against the private overlay world.
-    fn exec_decoupled(&self, ctx: &SyscallCtx, args: &[Value]) -> Result<Value, Trap> {
+    fn exec_decoupled(
+        &self,
+        ctx: &SyscallCtx,
+        args: &[Value],
+        is_sink: bool,
+    ) -> Result<Value, Trap> {
         self.coupling
-            .stats
-            .decoupled
-            .fetch_add(1, Ordering::Relaxed);
-        ldx_obs::instant(ldx_obs::cat::SYSCALL_DECISION, "decoupled");
-        self.coupling.trace_syscall(
-            Role::Slave,
-            &ctx.thread,
-            &ctx.key,
-            Some(ctx.sys),
-            TraceAction::Decoupled,
-        );
-        self.flight_decision(
-            Decision::Decoupled,
-            ctx,
-            ctx.func,
-            ctx.site,
-            ctx.sys,
-            // The master's position is unknown here; the slave's own
-            // counter is the deterministic lower bound.
-            key_scalar(&ctx.key),
-            self.sinks.is_sink(ctx.func, ctx.site, ctx.sys, args),
-        );
+            .note(Role::Slave, Decision::Decoupled, Call::at(ctx, is_sink));
         let mut fdmap = self.fdmap.lock();
         let sys = ctx.sys;
         match sys {
@@ -694,6 +584,7 @@ impl SyscallHooks for SlaveHooks {
                         self.coupling.taint_lock(id);
                     }
                 } else {
+                    // Counted as decoupled, with no flight event of its own.
                     self.coupling
                         .stats
                         .decoupled
@@ -797,37 +688,24 @@ impl SyscallHooks for SlaveHooks {
                             _ => {}
                         }
                         drop(fdmap);
-                        self.coupling.trace_syscall(
-                            Role::Slave,
-                            &ctx.thread,
-                            &ctx.key,
-                            Some(sys),
-                            TraceAction::Copied,
-                        );
                         v
                     }
                     // Aligned but on a tainted resource: consume the entry
                     // (done in align) yet execute privately (paper §7:
                     // "future syscalls on the resource cannot be coupled").
-                    Align::Shared(_) => self.exec_decoupled(ctx, args)?,
-                    Align::Decoupled => self.exec_decoupled(ctx, args)?,
+                    Align::Shared(_) | Align::Decoupled => {
+                        self.exec_decoupled(ctx, args, is_sink)?
+                    }
                 };
                 if let Some(mutation) = self.source_mutation(ctx, args) {
                     let mutated = mutation.apply(&outcome);
                     if mutated != outcome {
-                        self.coupling.trace_syscall(
-                            Role::Slave,
-                            &ctx.thread,
-                            &ctx.key,
-                            Some(sys),
-                            TraceAction::Mutated,
-                        );
                         self.coupling.flight(Role::Slave, || FlightEvent::Mutated {
                             thread: ctx.thread.clone(),
                             func: ctx.func,
                             site: ctx.site,
                             sys,
-                            cnt: key_scalar(&ctx.key),
+                            key: ctx.key.clone(),
                             original: excerpt(&outcome.stringify()),
                             mutated: excerpt(&mutated.stringify()),
                         });
@@ -854,16 +732,10 @@ impl SyscallHooks for SlaveHooks {
         let _s = ldx_obs::span(ldx_obs::cat::BARRIER_WAIT, "loop-barrier");
         let pair = self.coupling.pair(thread);
         pair.publish(Role::Slave, key.clone());
-        self.coupling
-            .trace_syscall(Role::Slave, thread, key, None, TraceAction::Barrier);
-        self.coupling.flight(Role::Slave, || {
-            let cnt = key_scalar(key);
-            let delta = master_delta(pair.inner.lock().master_ready.as_ref(), key);
-            FlightEvent::Barrier {
-                thread: thread.clone(),
-                cnt,
-                delta,
-            }
+        self.coupling.flight(Role::Slave, || FlightEvent::Barrier {
+            thread: thread.clone(),
+            key: key.clone(),
+            delta: master_delta(pair.inner.lock().master_ready.as_ref(), key),
         });
         Ok(())
     }

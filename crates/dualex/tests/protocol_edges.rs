@@ -20,7 +20,6 @@ fn spec_file(path: &str, mutation: Mutation, sinks: SinkSpec) -> DualSpec {
             mutation,
         }],
         sinks,
-        trace: false,
         record: false,
         enforcement: false,
         exec: Default::default(),
@@ -171,7 +170,6 @@ fn renamed_file_is_tainted_and_decoupled() {
             mutation: Mutation::Replace("rotate".into()),
         }],
         sinks: SinkSpec::NetworkOut,
-        trace: false,
         record: false,
         enforcement: false,
         exec: Default::default(),
@@ -332,7 +330,6 @@ fn sources_on_entropy_syscalls() {
             mutation: Mutation::OffByOne,
         }],
         sinks: SinkSpec::NetworkOut,
-        trace: false,
         record: false,
         enforcement: false,
         exec: Default::default(),
@@ -408,7 +405,6 @@ fn decoupled_peer_recv_reconstructs_connection() {
             mutation: Mutation::Replace("more".into()),
         }],
         sinks: SinkSpec::NetworkOut,
-        trace: false,
         record: false,
         enforcement: false,
         exec: Default::default(),
@@ -457,7 +453,6 @@ fn decoupled_accept_replays_backlog_position() {
             mutation: Mutation::Replace("greedy".into()),
         }],
         sinks: SinkSpec::NetworkOut,
-        trace: false,
         record: false,
         enforcement: false,
         exec: Default::default(),
@@ -510,7 +505,6 @@ fn decoupled_descriptor_never_collides_with_held_master_descriptor() {
             mutation: Mutation::Replace("log".into()),
         }],
         sinks: SinkSpec::NetworkOut,
-        trace: false,
         record: false,
         enforcement: false,
         exec: Default::default(),

@@ -9,8 +9,9 @@ use std::fmt::Write as _;
 use std::io;
 use std::path::Path;
 
-/// Escapes `s` into a JSON string literal (with quotes).
-fn json_string(s: &str) -> String {
+/// Escapes `s` into a JSON string literal (with quotes): the one string
+/// escaper behind every hand-rolled JSON writer in the workspace.
+pub fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {
@@ -300,5 +301,7 @@ mod tests {
     #[test]
     fn json_strings_are_escaped() {
         assert_eq!(json_string("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
+        assert_eq!(json_string("plain"), "\"plain\"");
+        assert_eq!(json_string("\u{1}"), "\"\\u0001\"");
     }
 }

@@ -1,4 +1,5 @@
-//! Event-recording hook wrapper (testing and trace tooling).
+//! Event-recording hook wrapper for native single runs (TightLip and
+//! tests).
 
 use crate::hooks::{SysOutcome, SyscallCtx, SyscallHooks};
 use crate::threads::{StopSignal, ThreadKey};
@@ -28,8 +29,9 @@ pub struct SyscallEvent {
 }
 
 /// Wraps any [`SyscallHooks`], recording every syscall event before
-/// delegating. Used by tests (to assert on progress keys) and by the
-/// alignment-trace example that reproduces paper Figures 3 and 5.
+/// delegating. Used by the TightLip baseline (to diff the syscall
+/// sequences of two native runs) and by tests (to assert on progress
+/// keys). Dual runs record into the `ldx-dualex` flight log instead.
 pub struct RecordingHooks<H: SyscallHooks> {
     inner: H,
     events: Arc<Mutex<Vec<SyscallEvent>>>,

@@ -432,7 +432,6 @@ mod tests {
             shared: 0,
             decoupled: 0,
             master_sinks: 0,
-            trace: vec![],
             flight: ldx_dualex::FlightLog::default(),
         };
         assert!(analysis

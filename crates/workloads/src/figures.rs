@@ -41,7 +41,6 @@ fn spec_with(mutation: Mutation) -> DualSpec {
             mutation,
         }],
         sinks: SinkSpec::NetworkOut,
-        trace: false,
         record: false,
         enforcement: false,
         exec: Default::default(),
@@ -174,8 +173,7 @@ pub fn figure2_employee() -> FigureCase {
                 mutation: Mutation::Replace("MANAGER".into()),
             }],
             sinks: SinkSpec::NetworkOut,
-            trace: true,
-            record: false,
+            record: true,
             enforcement: false,
             exec: Default::default(),
         },
@@ -218,8 +216,7 @@ pub fn figure4_loops() -> FigureCase {
                 mutation: Mutation::Replace("2 1".into()),
             }],
             sinks: SinkSpec::NetworkOut,
-            trace: true,
-            record: false,
+            record: true,
             enforcement: false,
             exec: Default::default(),
         },

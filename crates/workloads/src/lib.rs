@@ -124,7 +124,6 @@ impl Workload {
         DualSpec {
             sources: self.sources.clone(),
             sinks: self.sinks.clone(),
-            trace: false,
             record: false,
             enforcement: false,
             exec: Default::default(),
@@ -136,7 +135,6 @@ impl Workload {
         self.benign_sources.as_ref().map(|sources| DualSpec {
             sources: sources.clone(),
             sinks: self.sinks.clone(),
-            trace: false,
             record: false,
             enforcement: false,
             exec: Default::default(),

@@ -17,7 +17,7 @@ fn show(case: &ldx_workloads::FigureCase) {
         .into_program(),
     );
     let report = dual_execute(program, &case.world, &case.spec);
-    println!("trace (role thread key syscall action):");
+    println!("trace (role thread key syscall label):");
     for line in report.trace_lines() {
         println!("  {line}");
     }

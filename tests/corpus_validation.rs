@@ -2,8 +2,9 @@
 //! natively without trapping, report exactly the causality its spec
 //! promises under the leaking mutation, stay silent under the benign
 //! mutation, and stay silent under the identity mutation (invariant I5).
+//! Turning the flight recorder on must not change any of those reports.
 
-use ldx_dualex::{dual_execute, DualSpec, Mutation, SourceSpec};
+use ldx_dualex::{dual_execute, DualSpec, Mutation};
 use ldx_runtime::{run_program, ExecConfig, NativeHooks};
 use ldx_vos::Vos;
 use ldx_workloads::{corpus, Suite, Workload};
@@ -32,6 +33,15 @@ fn every_workload_runs_natively() {
     native_runs_clean(&ldx_workloads::showip_case_study());
 }
 
+/// The workload's sources under the identity mutation.
+fn identity_spec(w: &Workload) -> DualSpec {
+    let mut spec = w.dual_spec();
+    for s in &mut spec.sources {
+        s.mutation = Mutation::Identity;
+    }
+    spec
+}
+
 #[test]
 fn identity_mutation_never_reports() {
     for w in corpus() {
@@ -41,22 +51,7 @@ fn identity_mutation_never_reports() {
         if w.suite == Suite::Concurrent {
             continue;
         }
-        let spec = DualSpec {
-            sources: w
-                .sources
-                .iter()
-                .map(|s| SourceSpec {
-                    matcher: s.matcher.clone(),
-                    mutation: Mutation::Identity,
-                })
-                .collect(),
-            sinks: w.sinks.clone(),
-            trace: false,
-            record: false,
-            enforcement: false,
-            exec: ExecConfig::default(),
-        };
-        let report = dual_execute(w.program(), &w.world, &spec);
+        let report = dual_execute(w.program(), &w.world, &identity_spec(&w));
         assert!(
             report.master.is_ok(),
             "`{}` master: {:?}",
@@ -149,5 +144,41 @@ fn case_studies_detect_their_leaks() {
             w.name,
             report.causality
         );
+    }
+}
+
+/// Every counter and causality record is independent of the flight
+/// recorder: counting and recording happen in one call per decision, so
+/// a counter tied to the recorder would show here.
+#[test]
+fn flight_recorder_does_not_change_reports() {
+    for w in corpus() {
+        // Threaded programs' reports vary run to run (Table 4).
+        if w.suite == Suite::Concurrent {
+            continue;
+        }
+        let program = w.program();
+        let specs = [
+            Some(w.dual_spec()),
+            w.benign_spec(),
+            Some(identity_spec(&w)),
+        ];
+        for spec in specs.into_iter().flatten() {
+            let off = dual_execute(Arc::clone(&program), &w.world, &spec);
+            let mut recorded = spec.clone();
+            recorded.record = true;
+            let on = dual_execute(Arc::clone(&program), &w.world, &recorded);
+            assert!(off.flight.is_empty() && !on.flight.is_empty(), "{}", w.name);
+            let facts = |r: &ldx_dualex::DualReport| {
+                (
+                    r.causality.clone(),
+                    r.shared,
+                    r.decoupled,
+                    r.syscall_diffs,
+                    r.master_sinks,
+                )
+            };
+            assert_eq!(facts(&off), facts(&on), "`{}` {:?}", w.name, spec.sources);
+        }
     }
 }

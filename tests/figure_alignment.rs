@@ -1,10 +1,16 @@
 //! Paper Figures 2–5: the employee example and the nested-loop example,
-//! checked at the level of the alignment *trace* (who executed, who
-//! copied, who decoupled, where the executions re-aligned).
+//! checked at the level of the flight log the alignment trace renders
+//! (who executed, who shared, who decoupled, where the executions
+//! re-aligned).
 
-use ldx_dualex::{dual_execute, Role, TraceAction};
+use ldx_dualex::{dual_execute, FlightEvent};
 use ldx_workloads::{figure2_employee, figure4_loops, FigureCase};
 use std::sync::Arc;
+
+/// The event kinds of one flight-log lane, in order.
+fn kinds(lane: &[FlightEvent]) -> Vec<&'static str> {
+    lane.iter().map(FlightEvent::kind).collect()
+}
 
 fn run(case: &FigureCase) -> ldx_dualex::DualReport {
     let program = Arc::new(
@@ -23,29 +29,21 @@ fn figure3_employee_trace_shape() {
     assert!(report.master.is_ok() && report.slave.is_ok());
     assert!(report.leaked(), "the title leaks through the raise");
 
-    // The slave must have copied the prefix (the shared reads), decoupled
+    // The slave must have shared the prefix (the aligned reads), decoupled
     // through the divergent branch, and flagged the sink difference.
-    let slave_actions: Vec<&TraceAction> = report
-        .trace
-        .iter()
-        .filter(|e| e.role == Role::Slave)
-        .map(|e| &e.action)
-        .collect();
+    let slave = kinds(&report.flight.slave);
+    assert!(slave.contains(&"shared"), "shared prefix: {slave:?}");
     assert!(
-        slave_actions.contains(&&TraceAction::Copied),
-        "shared prefix"
+        slave.contains(&"mutated"),
+        "the title read is perturbed: {slave:?}"
     );
     assert!(
-        slave_actions.contains(&&TraceAction::Mutated),
-        "the title read is perturbed"
+        slave.contains(&"decoupled"),
+        "the manager branch runs decoupled: {slave:?}"
     );
     assert!(
-        slave_actions.contains(&&TraceAction::Decoupled),
-        "the manager branch runs decoupled"
-    );
-    assert!(
-        slave_actions.contains(&&TraceAction::SinkDiff),
-        "the send re-aligns and differs"
+        slave.contains(&"sink-diff"),
+        "the send re-aligns and differs: {slave:?}"
     );
 
     // Re-alignment: the send is a *matched-key* comparison, not a
@@ -70,15 +68,9 @@ fn figure5_loop_trace_shape() {
     assert!(report.slave.is_ok(), "slave: {:?}", report.slave);
     assert!(report.leaked(), "n/m swap changes the totals");
 
-    // Iteration barriers appear in the trace for both roles.
-    let barrier_roles: Vec<Role> = report
-        .trace
-        .iter()
-        .filter(|e| e.action == TraceAction::Barrier)
-        .map(|e| e.role)
-        .collect();
-    assert!(barrier_roles.contains(&Role::Master));
-    assert!(barrier_roles.contains(&Role::Slave));
+    // Iteration barriers appear in the flight log for both roles.
+    assert!(kinds(&report.flight.master).contains(&"barrier"));
+    assert!(kinds(&report.flight.slave).contains(&"barrier"));
 
     // The executions took different loop shapes (master 1x2, slave 2x1):
     // some in-loop syscalls have no alignment.
@@ -114,4 +106,17 @@ fn figure5_identity_loops_fully_aligned() {
     assert_eq!(report.decoupled, 0);
     let master_sys = report.master.as_ref().unwrap().stats.syscalls;
     assert_eq!(report.shared, master_sys, "every outcome shared");
+}
+
+#[test]
+fn figure_traces_are_byte_identical_across_runs() {
+    // Each lane has a single writer, so rendering the master lane and then
+    // the slave lane is independent of how the two executions interleave.
+    for case in [figure2_employee(), figure4_loops()] {
+        let first = run(&case).trace_lines();
+        assert!(!first.is_empty(), "{}: recorded trace", case.name);
+        for _ in 1..5 {
+            assert_eq!(run(&case).trace_lines(), first, "{}", case.name);
+        }
+    }
 }

@@ -39,7 +39,6 @@ fn spec(mutation: Mutation) -> DualSpec {
             mutation,
         }],
         sinks: SinkSpec::FileOut,
-        trace: false,
         record: false,
         enforcement: false,
         exec: ExecConfig {

@@ -93,7 +93,6 @@ proptest! {
                 mutation: Mutation::OffByOne,
             }],
             sinks: SinkSpec::FileOut,
-            trace: false,
             record: false,
             enforcement: false,
             exec: ExecConfig {

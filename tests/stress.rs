@@ -32,7 +32,6 @@ fn large_generated_programs_instrument_and_dual_execute() {
                 mutation: Mutation::OffByOne,
             }],
             sinks: SinkSpec::FileOut,
-            trace: false,
             record: false,
             enforcement: false,
             exec: ExecConfig {
@@ -113,7 +112,6 @@ fn deeply_nested_loop_tower_aligns() {
             mutation: Mutation::OffByOne,
         }],
         sinks: SinkSpec::NetworkOut,
-        trace: false,
         record: false,
         enforcement: false,
         exec: ExecConfig::default(),
