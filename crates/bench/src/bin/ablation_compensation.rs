@@ -9,7 +9,7 @@
 //! false reports and alignment quality.
 //!
 //! The (instrumented, naive) pairs run as one flat batch on the
-//! work-stealing pool; the instrumentation cache supplies both compiled
+//! batch pool; the instrumentation cache supplies both compiled
 //! forms from one parse each.
 //!
 //! Run: `cargo run -p ldx-bench --bin ablation_compensation`

@@ -7,7 +7,7 @@
 //! under each strategy; the table reports how many leaks each one detects.
 //!
 //! The `workloads × strategies` grid runs as one flat batch on the
-//! work-stealing pool; submission-ordered results are re-chunked into
+//! batch pool; submission-ordered results are re-chunked into
 //! rows, so the table is byte-identical to a sequential run.
 //!
 //! Run: `cargo run -p ldx-bench --bin ablation_mutation`

@@ -26,7 +26,7 @@
 //! After the overhead table (whose timing cells deliberately run on a
 //! **sequential** pool so medians are not distorted by co-running cells),
 //! the binary runs the whole mutated corpus twice — on a 1-worker pool
-//! and on the auto-sized work-stealing pool — and writes the measured
+//! and on the auto-sized batch pool — and writes the measured
 //! per-program wall times and the corpus speedup to `batch_metrics.json`.
 //!
 //! Run: `cargo run -p ldx-bench --release --bin figure6 [reps] [--summary] [--trace t.json] [--metrics m.json]`
@@ -167,7 +167,7 @@ fn main() {
     );
 
     // ---- Batch scaling experiment: the whole mutated corpus, 1 worker
-    // vs the auto-sized work-stealing pool. -----------------------------
+    // vs the auto-sized batch pool. -------------------------------------
     let make_jobs = || {
         cells
             .iter()

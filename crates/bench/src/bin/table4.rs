@@ -9,7 +9,7 @@
 //! (the paper's axel and x264; here `mtget` and `mtenc`).
 //!
 //! All `workloads × N` dual executions are submitted as one flat batch to
-//! the work-stealing pool; the submission-ordered results are then
+//! the batch pool; the submission-ordered results are then
 //! re-chunked per program, so the aggregation is schedule-independent.
 //!
 //! Run: `cargo run -p ldx-bench --bin table4 [runs]`

@@ -12,8 +12,8 @@
 //! | `ablation_mutation`     | §8.3 input-mutation strategy study |
 //! | `ablation_compensation` | DESIGN.md ablation: counters without compensation |
 //!
-//! The Criterion benches in `benches/` measure the same quantities under a
-//! statistics harness.
+//! `benches/alignment.rs` times the alignment machinery in isolation
+//! (progress keys, the instrumentation pass, counter maintenance).
 
 use ldx::obs::json_string;
 use ldx_dualex::{dual_execute, DualReport, DualSpec};

@@ -1,5 +1,5 @@
-//! Parallel batch execution: a bounded work-stealing scheduler for corpora
-//! of dual executions.
+//! Parallel batch execution: a bounded pool for corpora of dual
+//! executions.
 //!
 //! The engine accepts [`BatchJob`]s — (instrumented program, world, spec)
 //! triples — and runs them concurrently on a pool of OS threads. Three
@@ -10,34 +10,28 @@
 //!   `min(requested, available_parallelism() / 2)` workers — two OS
 //!   threads per in-flight job — and never oversubscribes the host even
 //!   when callers request huge pools.
-//! * **Work stealing.** Jobs land in a global injector; each worker
-//!   drains a small local deque, refills it in batches from the injector,
-//!   and steals FIFO from siblings when both run dry. Long-tailed jobs
-//!   (e.g. `minhmm` next to `minzip`) therefore never serialize the
-//!   corpus behind one slow worker.
-//! * **Determinism.** Each job carries its submission index and the
-//!   collector writes results into an index-addressed slot table, so
-//!   [`BatchReport::results`] is in submission order regardless of the
-//!   schedule. Dual execution itself is deterministic per job (for
-//!   single-Lx-thread programs), so a batch run and a sequential
-//!   [`Analysis::run`] loop produce identical verdicts, causality
-//!   records, and table rows — `tests/batch_determinism.rs` locks this
-//!   in under 1-worker and oversubscribed pools.
+//! * **A shared job cursor.** Workers claim the next unstarted job with
+//!   one atomic `fetch_add` on a shared index, so a worker that finishes
+//!   early simply claims the next job. Long-tailed jobs (e.g. `minhmm`
+//!   next to `minzip`) therefore never serialize the corpus behind one
+//!   slow worker.
+//! * **Determinism.** Each job's result is written into the slot with the
+//!   job's submission index, so [`BatchReport::results`] is in submission
+//!   order regardless of the schedule. Dual execution itself is
+//!   deterministic per job (for single-Lx-thread programs), so a batch run
+//!   and a sequential [`Analysis::run`] loop produce identical verdicts,
+//!   causality records, and table rows — `tests/batch_determinism.rs`
+//!   locks this in under 1-worker and oversubscribed pools.
 //!
 //! [`Analysis::run`]: crate::Analysis::run
 
-use crossbeam::deque::{Injector, Steal, Stealer, Worker};
 use ldx_dualex::{dual_execute, DualReport, DualSpec};
 use ldx_ir::IrProgram;
 use ldx_vos::VosConfig;
 use parking_lot::Mutex;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// How many extra tasks a worker pulls from the injector per refill.
-/// Small enough that stragglers remain stealable, large enough that the
-/// injector lock is not hit once per task.
-const REFILL_BATCH: usize = 2;
 
 /// One unit of batch work: a dual execution of an instrumented program
 /// against a world under a spec.
@@ -83,7 +77,7 @@ pub struct JobResult {
     pub report: DualReport,
     /// Wall-clock time of the dual execution itself.
     pub wall: Duration,
-    /// Time the job spent queued before a worker picked it up.
+    /// Time from the start of the batch until a worker picked the job up.
     pub queue_latency: Duration,
     /// Which worker ran the job.
     pub worker: usize,
@@ -98,14 +92,14 @@ pub struct BatchReport {
     pub workers: usize,
     /// Wall-clock time of the whole batch.
     pub wall: Duration,
-    /// Per-worker busy time (time spent executing jobs, not stealing).
+    /// Per-worker busy time (time spent executing jobs).
     pub worker_busy: Vec<Duration>,
 }
 
 impl BatchReport {
     /// Fraction of the pool's wall-clock capacity spent executing jobs,
     /// in `[0, 1]`. Low utilization on a long batch means the corpus had
-    /// a serial tail; near 1.0 means the stealing kept everyone busy.
+    /// a serial tail; near 1.0 means every worker stayed busy.
     pub fn utilization(&self) -> f64 {
         let capacity = self.wall.as_secs_f64() * self.workers as f64;
         if capacity <= 0.0 {
@@ -137,7 +131,7 @@ impl BatchReport {
     }
 }
 
-/// A bounded work-stealing pool for dual-execution jobs.
+/// A bounded worker pool for dual-execution jobs.
 ///
 /// Construction picks the worker count; [`BatchEngine::run`] executes one
 /// batch (workers are scoped to the call — the engine holds no threads
@@ -215,40 +209,42 @@ impl BatchEngine {
         self.dispatch(items, |_ctx, item| f(item)).0
     }
 
-    /// The scheduler core: index-tagged tasks flow injector → local deque
-    /// → sibling steals; results land in index-addressed slots.
+    /// The scheduler core: one scoped thread per worker claims the next
+    /// item index from a shared cursor until the items run out; results
+    /// land in the slot with the item's index.
     fn dispatch<T, R, F>(&self, items: Vec<T>, f: F) -> (Vec<R>, Vec<Duration>)
     where
         T: Send,
         R: Send,
         F: Fn(TaskCtx, T) -> R + Sync,
     {
+        let started = Instant::now();
         let n = items.len();
         ldx_obs::counter_add("batch.jobs", n as u64);
         ldx_obs::counter_max("batch.workers", self.workers as u64);
-        let injector = Injector::new();
-        for (index, item) in items.into_iter().enumerate() {
-            injector.push(Task {
-                index,
-                enqueued: Instant::now(),
-                item,
-            });
-        }
-        let locals: Vec<Worker<Task<T>>> = (0..self.workers).map(|_| Worker::new_fifo()).collect();
-        let stealers: Vec<Stealer<Task<T>>> = locals.iter().map(Worker::stealer).collect();
+        let jobs: Vec<Mutex<Option<T>>> = items
+            .into_iter()
+            .map(|item| Mutex::new(Some(item)))
+            .collect();
         let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
+        let cursor = AtomicUsize::new(0);
 
         let worker_busy = std::thread::scope(|scope| {
             let mut handles = Vec::with_capacity(self.workers);
-            for (worker, local) in locals.iter().enumerate() {
-                let injector = &injector;
-                let stealers = &stealers;
+            for worker in 0..self.workers {
+                let jobs = &jobs;
+                let cursor = &cursor;
                 let slots = &slots;
                 let f = &f;
                 handles.push(scope.spawn(move || {
                     let mut busy = Duration::ZERO;
-                    while let Some(task) = next_task(local, injector, stealers, worker) {
-                        let queue_latency = task.enqueued.elapsed();
+                    loop {
+                        // Relaxed: the index publishes no data; items and
+                        // results travel through their slots' mutexes.
+                        let index = cursor.fetch_add(1, Ordering::Relaxed);
+                        let Some(job) = jobs.get(index) else { break };
+                        let item = job.lock().take().expect("each index is claimed once");
+                        let queue_latency = started.elapsed();
                         ldx_obs::histogram_record(
                             "batch.queue_latency_ns",
                             queue_latency.as_nanos() as u64,
@@ -258,9 +254,9 @@ impl BatchEngine {
                             queue_latency,
                         };
                         let t0 = Instant::now();
-                        let result = f(ctx, task.item);
+                        let result = f(ctx, item);
                         busy += t0.elapsed();
-                        *slots[task.index].lock() = Some(result);
+                        *slots[index].lock() = Some(result);
                     }
                     busy
                 }));
@@ -283,60 +279,6 @@ impl BatchEngine {
 struct TaskCtx {
     worker: usize,
     queue_latency: Duration,
-}
-
-/// An index-tagged task in flight.
-struct Task<T> {
-    index: usize,
-    enqueued: Instant,
-    item: T,
-}
-
-/// One worker's scheduling step: local deque first, then the injector
-/// (grabbing a small batch for locality), then FIFO steals from siblings.
-/// Returns `None` only when every queue is drained.
-fn next_task<T>(
-    local: &Worker<Task<T>>,
-    injector: &Injector<Task<T>>,
-    stealers: &[Stealer<Task<T>>],
-    me: usize,
-) -> Option<Task<T>> {
-    if let Some(task) = local.pop() {
-        return Some(task);
-    }
-    loop {
-        match injector.steal() {
-            Steal::Success(task) => {
-                ldx_obs::counter_add("batch.refills", 1);
-                for _ in 0..REFILL_BATCH {
-                    match injector.steal() {
-                        Steal::Success(extra) => local.push(extra),
-                        _ => break,
-                    }
-                }
-                return Some(task);
-            }
-            Steal::Retry => continue,
-            Steal::Empty => {}
-        }
-        let mut retry = false;
-        for (victim, stealer) in stealers.iter().enumerate() {
-            if victim == me {
-                continue;
-            }
-            match stealer.steal() {
-                Steal::Success(task) => {
-                    ldx_obs::counter_add("batch.steals", 1);
-                    return Some(task);
-                }
-                Steal::Retry => retry = true,
-                Steal::Empty => {}
-            }
-        }
-        if !retry {
-            return None;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -421,5 +363,39 @@ mod tests {
         }
         let u = report.utilization();
         assert!((0.0..=1.0).contains(&u), "{u}");
+    }
+
+    #[test]
+    fn four_worker_pool_keeps_submission_order() {
+        // Built directly so the multi-worker path runs on any host.
+        let pool = BatchEngine { workers: 4 };
+        let out = pool.map_ordered((0..100).collect(), |i: usize| i);
+        assert_eq!(out, (0..100).collect::<Vec<_>>());
+
+        let jobs: Vec<BatchJob> = (0..8).map(|i| leak_job(&format!("job{i}"), "p")).collect();
+        let report = pool.run(jobs);
+        assert_eq!(report.worker_busy.len(), 4);
+        assert_eq!(report.results.len(), 8);
+        for (i, r) in report.results.iter().enumerate() {
+            assert_eq!(r.label, format!("job{i}"));
+            assert!(r.worker < 4, "{}", r.worker);
+            assert!(r.report.leaked());
+        }
+    }
+
+    #[test]
+    fn a_panicking_job_surfaces_and_the_engine_stays_usable() {
+        let pool = BatchEngine { workers: 4 };
+        let caught = std::panic::catch_unwind(|| {
+            pool.map_ordered((0..10).collect(), |i: usize| {
+                assert_ne!(i, 3, "job 3 fails");
+                i
+            })
+        });
+        assert!(caught.is_err());
+        assert_eq!(
+            pool.map_ordered(vec![1, 2, 3], |i: usize| i + 1),
+            vec![2, 3, 4]
+        );
     }
 }

@@ -22,8 +22,6 @@ pub const DEFAULT_COUNTERS: &[&str] = &[
     "cache.hits",
     "cache.compiles",
     "batch.jobs",
-    "batch.steals",
-    "batch.refills",
     "batch.workers",
     "dualex.runs",
     "dualex.shared",

@@ -30,7 +30,6 @@ pub(crate) struct Entry {
     pub args: Vec<Value>,
     pub outcome: Value,
     pub is_sink: bool,
-    pub consumed: bool,
 }
 
 /// Mutable pair state (one per Lx thread pair).
@@ -290,9 +289,6 @@ impl Coupling {
         for (thread, pair) in ordered {
             let mut inner = pair.inner.lock();
             while let Some(entry) = inner.queue.pop_front() {
-                if entry.consumed {
-                    continue;
-                }
                 self.note(
                     Role::Master,
                     Decision::MasterOnly,
@@ -421,7 +417,6 @@ mod tests {
                 args: vec![],
                 outcome: Value::Int(0),
                 is_sink: false,
-                consumed: false,
             });
             inner.queue.push_back(Entry {
                 key: ProgressKey::start(),
@@ -431,7 +426,6 @@ mod tests {
                 args: vec![],
                 outcome: Value::Int(0),
                 is_sink: true,
-                consumed: false,
             });
         }
         c.reconcile();

@@ -49,7 +49,6 @@ impl MasterHooks {
             args: args.to_vec(),
             outcome,
             is_sink,
-            consumed: false,
         });
         inner.master_ready = Some(ctx.key.clone());
         drop(inner);

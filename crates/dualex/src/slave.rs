@@ -143,9 +143,6 @@ impl SlaveHooks {
         let start = Instant::now();
         let mut inner = pair.inner.lock();
         loop {
-            while inner.queue.front().is_some_and(|e| e.consumed) {
-                inner.queue.pop_front();
-            }
             if let Some(front) = inner.queue.front() {
                 match front.key.cmp_progress(&ctx.key) {
                     ProgressOrder::Behind => {

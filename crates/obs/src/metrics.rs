@@ -2,7 +2,7 @@
 //! fixed-bucket (power-of-two) histograms.
 //!
 //! Names are `&'static str` in dotted-namespace form (`cache.hits`,
-//! `batch.steals`, `runtime.barrier_wait_ns`). Registration is implicit
+//! `batch.jobs`, `runtime.barrier_wait_ns`). Registration is implicit
 //! on first use; [`ensure_counters`] pre-registers a key set so exports
 //! always contain the expected names even when their values are zero.
 

@@ -200,7 +200,7 @@ fn exported_metrics_carry_required_keys() {
     for key in [
         "cache.hits",
         "cache.compiles",
-        "batch.steals",
+        "batch.jobs",
         "dualex.runs",
         "dualex.shared",
     ] {
