@@ -3,11 +3,10 @@
 //! Columns mirror the paper: program, LOC, instrumented instructions
 //! (count + percent), instrumented loops / recursive call sites / indirect
 //! (fptr) call sites, sinks, syscall sites, max static counter, dynamic
-//! counter (avg/max) and counter-stack depth from a run, plus the
-//! barrier-crossing totals (count and wall-clock) the alignment-stall
-//! profiler agrees with, the number of mutated inputs (sources), and the
-//! source pairs the `ldx-sdep` pre-filter proves inert (pruned, counted
-//! over declared plus statically discovered sources).
+//! counter (avg/max) and counter-stack depth from a run, plus the number
+//! of loop-backedge barrier crossings, the number of mutated inputs
+//! (sources), and the source pairs the `ldx-sdep` pre-filter proves inert
+//! (pruned, counted over declared plus statically discovered sources).
 //!
 //! Rows run on the batch engine's pool; the instrumentation cache compiles
 //! each source once and feeds both the static report and the dynamic run.
@@ -21,10 +20,8 @@ fn main() {
     let (args, obs_args) = ldx::obs::parse_obs_args(std::env::args().skip(1).collect());
     ldx::obs::init(&obs_args);
     let (_args, mut summary) = BenchSummary::from_args("table1", args);
-    // The barrier columns need hot-path timing regardless of the flags.
-    ldx::obs::enable_profiling();
     println!(
-        "{:<10} {:>5} {:>7} {:>7} {:>6} {:>6} {:>5} {:>6} {:>5} {:>8} {:>9} {:>6} {:>5} {:>6} {:>8} {:>7} {:>6}",
+        "{:<10} {:>5} {:>7} {:>7} {:>6} {:>6} {:>5} {:>6} {:>5} {:>8} {:>9} {:>6} {:>5} {:>6} {:>7} {:>6}",
         "program",
         "loc",
         "instrs",
@@ -39,7 +36,6 @@ fn main() {
         "dyn-max",
         "stack",
         "barr",
-        "barr-ms",
         "sources",
         "pruned"
     );
@@ -66,7 +62,7 @@ fn main() {
             .count();
         ldx::obs::counter_add("sdep.pruned_pairs", pruned as u64);
         let line = format!(
-            "{:<10} {:>5} {:>7} {:>6.2}% {:>6} {:>6} {:>5} {:>6} {:>5} {:>8} {:>9.2} {:>6} {:>5} {:>6} {:>8.2} {:>7} {:>6}",
+            "{:<10} {:>5} {:>7} {:>6.2}% {:>6} {:>6} {:>5} {:>6} {:>5} {:>8} {:>9.2} {:>6} {:>5} {:>6} {:>7} {:>6}",
             w.name,
             w.loc(),
             orig,
@@ -81,7 +77,6 @@ fn main() {
             stats.cnt_max,
             stats.max_counter_depth,
             stats.barrier_waits,
-            stats.barrier_wait_ns as f64 / 1e6,
             w.sources.len(),
             pruned,
         );

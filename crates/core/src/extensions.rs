@@ -101,47 +101,14 @@ impl Analysis {
     /// that *does* run is checked against the static map (the soundness
     /// oracle) in debug builds.
     pub fn attribute_sources_with(&self, engine: &BatchEngine) -> Vec<SourceAttribution> {
-        let spec = self.spec();
+        let sources = &self.spec().sources;
         let sdep = self.prune_enabled().then(|| self.static_analysis());
-        let should_run: Vec<bool> = spec
-            .sources
-            .iter()
-            .map(|source| {
-                sdep.as_ref()
-                    .is_none_or(|a| a.may_cause(source, &spec.sinks))
-            })
-            .collect();
-        let pruned_count = should_run.iter().filter(|run| !**run).count();
-        if pruned_count > 0 {
-            crate::obs::counter_add("sdep.pruned_pairs", pruned_count as u64);
-        }
-        let jobs = spec
-            .sources
-            .iter()
+        self.run_each(engine, "source", sources)
+            .into_iter()
+            .zip(sources)
             .enumerate()
-            .filter(|&(index, _)| should_run[index])
-            .map(|(index, source)| {
-                let single = DualSpec {
-                    sources: vec![source.clone()],
-                    sinks: spec.sinks.clone(),
-                    record: spec.record,
-                    enforcement: false,
-                    exec: spec.exec,
-                };
-                BatchJob::new(
-                    format!("source#{index}"),
-                    self.program(),
-                    self.world_ref().clone(),
-                    single,
-                )
-            })
-            .collect();
-        let mut results = engine.run(jobs).results.into_iter();
-        spec.sources
-            .iter()
-            .enumerate()
-            .map(|(index, source)| {
-                if !should_run[index] {
+            .map(|(index, (report, source))| {
+                let Some(report) = report else {
                     return SourceAttribution {
                         index,
                         source: source.clone(),
@@ -149,8 +116,7 @@ impl Analysis {
                         pruned: true,
                         report: pruned_report(),
                     };
-                }
-                let report = results.next().expect("one result per scheduled job").report;
+                };
                 if let Some(analysis) = &sdep {
                     debug_assert!(
                         analysis
@@ -199,55 +165,69 @@ impl Analysis {
                 probed: 0,
             };
         };
-        let mut battery = vec![Mutation::OffByOne, Mutation::BitFlip, Mutation::Zero];
-        battery.extend(probes.iter().cloned());
+        let battery: Vec<SourceSpec> = [Mutation::OffByOne, Mutation::BitFlip, Mutation::Zero]
+            .into_iter()
+            .chain(probes.iter().cloned())
+            .map(|mutation| SourceSpec {
+                matcher: base.matcher.clone(),
+                mutation,
+            })
+            .collect();
+        let reports = self.run_each(engine, "probe", &battery);
+        StrengthReport {
+            flipped: reports.iter().flatten().filter(|r| r.leaked()).count(),
+            probed: battery.len(),
+        }
+    }
+
+    /// Runs one dual execution per single-source spec, as one batch of jobs
+    /// labelled `{label}#{i}`. With pruning enabled, sources `ldx-sdep`
+    /// proves statically independent of the sinks never run: they are
+    /// counted in the `sdep.pruned_pairs` metric and come back as `None`.
+    fn run_each(
+        &self,
+        engine: &BatchEngine,
+        label: &str,
+        sources: &[SourceSpec],
+    ) -> Vec<Option<DualReport>> {
+        let spec = self.spec();
         let sdep = self.prune_enabled().then(|| self.static_analysis());
-        let should_run: Vec<bool> = battery
+        let should_run: Vec<bool> = sources
             .iter()
-            .map(|mutation| {
-                sdep.as_ref().is_none_or(|a| {
-                    a.may_cause(
-                        &SourceSpec {
-                            matcher: base.matcher.clone(),
-                            mutation: mutation.clone(),
-                        },
-                        &spec.sinks,
-                    )
-                })
+            .map(|source| {
+                sdep.as_ref()
+                    .is_none_or(|a| a.may_cause(source, &spec.sinks))
             })
             .collect();
         let pruned_count = should_run.iter().filter(|run| !**run).count();
         if pruned_count > 0 {
             crate::obs::counter_add("sdep.pruned_pairs", pruned_count as u64);
         }
-        let jobs = battery
+        let jobs = sources
             .iter()
             .enumerate()
             .filter(|&(index, _)| should_run[index])
-            .map(|(index, mutation)| {
+            .map(|(index, source)| {
                 let single = DualSpec {
-                    sources: vec![SourceSpec {
-                        matcher: base.matcher.clone(),
-                        mutation: mutation.clone(),
-                    }],
+                    sources: vec![source.clone()],
                     sinks: spec.sinks.clone(),
                     record: spec.record,
                     enforcement: false,
                     exec: spec.exec,
                 };
                 BatchJob::new(
-                    format!("probe#{index}"),
+                    format!("{label}#{index}"),
                     self.program(),
                     self.world_ref().clone(),
                     single,
                 )
             })
             .collect();
-        let batch = engine.run(jobs);
-        StrengthReport {
-            flipped: batch.leaks(),
-            probed: battery.len(),
-        }
+        let mut results = engine.run(jobs).results.into_iter();
+        should_run
+            .into_iter()
+            .map(|run| run.then(|| results.next().expect("one result per scheduled job").report))
+            .collect()
     }
 }
 

@@ -1,24 +1,48 @@
 //! Shared coupling state between the master and slave executions.
 //!
-//! This is the runtime realization of paper §4.2: per thread-pair, the
-//! master appends its syscall outcomes to a queue and publishes a *ready*
-//! progress key; the slave consumes aligned outcomes, skips (and counts)
-//! master-only entries, and decouples when no alignment can exist. Both
-//! sides synchronize at loop backedges (§5) and publish a terminal key on
-//! thread exit so the peer never blocks forever.
+//! This is the runtime realization of paper §4.2 (Alg. 2): per thread
+//! pair, the master appends its syscall outcomes to a queue and publishes
+//! a *ready* progress key; the slave consumes aligned outcomes, skips (and
+//! counts) master-only entries, and decouples when no alignment can
+//! exist. Both sides publish their progress at loop backedges (§5).
+//!
+//! This module is the only one that knows how a pair is locked. The hooks
+//! in `master.rs` and `slave.rs` keep the Alg. 2 decisions and talk to a
+//! [`Pair`] through a small API:
+//!
+//! * [`Pair::push`] — the master enqueues an outcome and publishes its key;
+//! * [`Pair::publish`] / [`Pair::finish`] — a role's progress, or its end;
+//! * [`Pair::with_ready`] — a peek at a role's progress (flight-event and
+//!   stall deltas);
+//! * [`Pair::wait_past`] — the master's enforcement-mode lockstep;
+//! * [`Pair::next_for_slave`] — the slave's alignment: skips behind
+//!   entries, takes an equal one, leaves an ahead one queued;
+//! * [`Pair::drain`] — end-of-run leftovers, via [`Coupling::reconcile`].
+//!
+//! **The top key means finished.** A finished thread (or a whole finished
+//! execution, for pairs created after it) publishes
+//! [`ProgressKey::top`], which `cmp_progress` ranks ahead of every key, so
+//! "the peer is done" and "the peer is past this key" are one test and no
+//! waiter blocks on a finished peer. Every wait also gives up on the stop
+//! signal or after `MAX_WAIT`.
 
 use crate::recorder::{
-    Decision, FlightEvent, FlightLog, FlightRecorder, ResourceId, DEFAULT_FLIGHT_CAPACITY,
+    key_scalar, Decision, FlightEvent, FlightLog, FlightRecorder, ResourceId,
+    DEFAULT_FLIGHT_CAPACITY,
 };
-use crate::report::{CausalityRecord, Role};
+use crate::report::{CausalityKind, CausalityRecord, Role};
 use ldx_ir::{FuncId, SiteId};
 use ldx_lang::Syscall;
-use ldx_runtime::{ProgressKey, StopSignal, SyscallCtx, ThreadKey, Value};
+use ldx_runtime::{ProgressKey, ProgressOrder, StopSignal, SyscallCtx, ThreadKey, Value};
 use parking_lot::{Condvar, Mutex};
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
+
+/// How long any coupling wait may block before giving up (safety valve;
+/// orders of magnitude above any legitimate wait in the test suite).
+const MAX_WAIT: Duration = Duration::from_secs(30);
 
 /// One master syscall outcome, queued for the slave.
 #[derive(Debug, Clone)]
@@ -34,22 +58,56 @@ pub(crate) struct Entry {
 
 /// Mutable pair state (one per Lx thread pair).
 #[derive(Debug, Default)]
-pub(crate) struct PairInner {
-    pub master_ready: Option<ProgressKey>,
-    pub slave_ready: Option<ProgressKey>,
-    pub queue: VecDeque<Entry>,
-    pub master_done: bool,
-    pub slave_done: bool,
+struct PairInner {
+    master_ready: Option<ProgressKey>,
+    slave_ready: Option<ProgressKey>,
+    queue: VecDeque<Entry>,
+}
+
+impl PairInner {
+    fn ready(&self, role: Role) -> Option<&ProgressKey> {
+        match role {
+            Role::Master => self.master_ready.as_ref(),
+            Role::Slave => self.slave_ready.as_ref(),
+        }
+    }
+
+    /// Whether `role` has published progress not behind `key` (a finished
+    /// role's top key is past every key).
+    fn past(&self, role: Role, key: &ProgressKey) -> bool {
+        self.ready(role)
+            .is_some_and(|r| r.cmp_progress(key) != ProgressOrder::Behind)
+    }
+}
+
+/// What the slave's syscall aligns with (see [`Pair::next_for_slave`]).
+pub(crate) enum Next {
+    /// The master's entry at exactly the slave's key, taken off the queue.
+    Aligned(Entry),
+    /// The master is provably past the slave's key: no entry will align.
+    MasterPast,
+    /// The stop signal fired or the wait hit `MAX_WAIT`.
+    GaveUp,
 }
 
 /// A thread pair's synchronization cell.
 #[derive(Debug, Default)]
 pub(crate) struct Pair {
-    pub inner: Mutex<PairInner>,
-    pub cv: Condvar,
+    inner: Mutex<PairInner>,
+    cv: Condvar,
 }
 
 impl Pair {
+    /// Enqueues a master outcome and publishes its key as the master's
+    /// progress.
+    pub fn push(&self, entry: Entry) {
+        let mut inner = self.inner.lock();
+        inner.master_ready = Some(entry.key.clone());
+        inner.queue.push_back(entry);
+        drop(inner);
+        self.cv.notify_all();
+    }
+
     /// Publishes a ready key for `role` and wakes waiters.
     pub fn publish(&self, role: Role, key: ProgressKey) {
         let mut inner = self.inner.lock();
@@ -62,21 +120,111 @@ impl Pair {
         self.cv.notify_all();
     }
 
-    /// Marks `role`'s thread as finished (terminal progress).
+    /// Marks `role`'s thread as finished: its terminal key.
     pub fn finish(&self, role: Role) {
+        self.publish(role, ProgressKey::top());
+    }
+
+    /// Runs `f` on `role`'s published progress.
+    pub fn with_ready<R>(&self, role: Role, f: impl FnOnce(Option<&ProgressKey>) -> R) -> R {
+        f(self.inner.lock().ready(role))
+    }
+
+    /// Blocks until `role`'s progress is not behind `key`. Returns false
+    /// when released by the stop signal or `MAX_WAIT` instead.
+    pub fn wait_past(&self, role: Role, key: &ProgressKey, stop: &StopSignal) -> bool {
+        self.wait(stop, None, |inner| inner.past(role, key).then_some(()))
+            .is_some()
+    }
+
+    /// Publishes the slave's key and finds the master entry its syscall
+    /// aligns with, blocking while the master is behind. Entries behind
+    /// the key are master-only: each is handed to `skip` (under the pair
+    /// lock, so they are seen in queue order). An entry ahead of or
+    /// divergent from the key stays queued for a later slave syscall.
+    pub fn next_for_slave(&self, ctx: &SyscallCtx, mut skip: impl FnMut(Entry)) -> Next {
+        self.publish(Role::Slave, ctx.key.clone());
+        self.wait(&ctx.stop, Some(ctx), |inner| {
+            while let Some(front) = inner.queue.front() {
+                match front.key.cmp_progress(&ctx.key) {
+                    ProgressOrder::Behind => skip(inner.queue.pop_front().expect("front exists")),
+                    ProgressOrder::Equal => {
+                        return inner.queue.pop_front().map(Next::Aligned);
+                    }
+                    ProgressOrder::Ahead | ProgressOrder::Divergent => {
+                        return Some(Next::MasterPast)
+                    }
+                }
+            }
+            inner
+                .past(Role::Master, &ctx.key)
+                .then_some(Next::MasterPast)
+        })
+        .unwrap_or(Next::GaveUp)
+    }
+
+    /// Takes every entry still queued.
+    pub fn drain(&self) -> VecDeque<Entry> {
+        std::mem::take(&mut self.inner.lock().queue)
+    }
+
+    /// The one coupling wait loop: polls `poll` under the pair lock,
+    /// blocking on the condvar in 2 ms slices between polls, until it
+    /// yields, the stop signal fires, or `MAX_WAIT` elapses (`None`).
+    /// With `stall` set and observability on, a wait that blocked is
+    /// reported to the stall profiler under the syscall's static site,
+    /// timed from the first block to the release, together with the
+    /// master/slave progress delta at release.
+    fn wait<T>(
+        &self,
+        stop: &StopSignal,
+        stall: Option<&SyscallCtx>,
+        mut poll: impl FnMut(&mut PairInner) -> Option<T>,
+    ) -> Option<T> {
+        let stall = stall.filter(|_| ldx_obs::enabled());
+        let mut first_block: Option<Instant> = None;
+        let mut t0_ns = 0;
+        let mut waits: u64 = 0;
         let mut inner = self.inner.lock();
-        match role {
-            Role::Master => {
-                inner.master_done = true;
-                inner.master_ready = Some(ProgressKey::top());
+        let got = loop {
+            if let Some(v) = poll(&mut inner) {
+                break Some(v);
             }
-            Role::Slave => {
-                inner.slave_done = true;
-                inner.slave_ready = Some(ProgressKey::top());
+            if stop.should_stop() || first_block.is_some_and(|t| t.elapsed() > MAX_WAIT) {
+                break None;
             }
+            if first_block.is_none() {
+                first_block = Some(Instant::now());
+                if stall.is_some() {
+                    t0_ns = ldx_obs::now_ns();
+                }
+            }
+            waits += 1;
+            self.cv.wait_for(&mut inner, Duration::from_millis(2));
+        };
+        if let Some(ctx) = stall.filter(|_| waits > 0) {
+            let delta = master_delta(inner.master_ready.as_ref(), &ctx.key);
+            drop(inner);
+            let ns = ldx_obs::now_ns().saturating_sub(t0_ns);
+            ldx_obs::stall_record(&format!("f{}:s{}", ctx.func.0, ctx.site.0), ns, delta);
+            ldx_obs::record_complete(
+                ldx_obs::cat::BARRIER_WAIT,
+                "align-wait",
+                t0_ns,
+                ns,
+                vec![("delta", delta as i64), ("waits", waits as i64)],
+            );
         }
-        drop(inner);
-        self.cv.notify_all();
+        got
+    }
+}
+
+/// How far the master's published progress is past the slave's key (0
+/// when unknown, terminal, or behind).
+pub(crate) fn master_delta(master: Option<&ProgressKey>, slave: &ProgressKey) -> u64 {
+    match master {
+        Some(m) if !m.is_top() => key_scalar(m).saturating_sub(key_scalar(slave)),
+        _ => 0,
     }
 }
 
@@ -129,11 +277,18 @@ pub(crate) struct CouplingStats {
     pub master_sinks: AtomicU64,
 }
 
+/// The thread pairs of one dual execution.
+#[derive(Default)]
+struct Pairs {
+    by_thread: HashMap<ThreadKey, Arc<Pair>>,
+    /// Roles whose whole execution finished: a pair created later starts
+    /// finished for them.
+    finished: Vec<Role>,
+}
+
 /// All shared state of one dual execution.
 pub(crate) struct Coupling {
-    pairs: Mutex<HashMap<ThreadKey, Arc<Pair>>>,
-    pub master_exec_done: AtomicBool,
-    pub slave_exec_done: AtomicBool,
+    pairs: Mutex<Pairs>,
     pub records: Mutex<Vec<CausalityRecord>>,
     pub stats: CouplingStats,
     /// Paths with diverged state (paper §7 resource tainting).
@@ -149,9 +304,7 @@ impl Coupling {
     /// Creates coupling state; `record` enables the flight recorder.
     pub fn new(record: bool) -> Self {
         Coupling {
-            pairs: Mutex::new(HashMap::new()),
-            master_exec_done: AtomicBool::new(false),
-            slave_exec_done: AtomicBool::new(false),
+            pairs: Mutex::new(Pairs::default()),
             records: Mutex::new(Vec::new()),
             stats: CouplingStats::default(),
             tainted_paths: Mutex::new(HashSet::new()),
@@ -210,35 +363,48 @@ impl Coupling {
     /// The pair cell for thread `t`, created on first use by either side.
     pub fn pair(&self, t: &ThreadKey) -> Arc<Pair> {
         let mut pairs = self.pairs.lock();
-        if let Some(p) = pairs.get(t) {
+        if let Some(p) = pairs.by_thread.get(t) {
             return Arc::clone(p);
         }
         let p = Arc::new(Pair::default());
         // If one whole execution already finished, threads it never spawned
         // must not be waited for.
-        {
-            let mut inner = p.inner.lock();
-            if self.master_exec_done.load(Ordering::SeqCst) {
-                inner.master_done = true;
-                inner.master_ready = Some(ProgressKey::top());
-            }
-            if self.slave_exec_done.load(Ordering::SeqCst) {
-                inner.slave_done = true;
-                inner.slave_ready = Some(ProgressKey::top());
-            }
+        for &role in &pairs.finished {
+            p.finish(role);
         }
-        pairs.insert(t.clone(), Arc::clone(&p));
+        pairs.by_thread.insert(t.clone(), Arc::clone(&p));
         p
     }
 
     /// Marks a whole execution as finished, releasing every waiter.
     pub fn finish_execution(&self, role: Role) {
-        match role {
-            Role::Master => self.master_exec_done.store(true, Ordering::SeqCst),
-            Role::Slave => self.slave_exec_done.store(true, Ordering::SeqCst),
-        }
-        for pair in self.pairs.lock().values() {
+        let mut pairs = self.pairs.lock();
+        pairs.finished.push(role);
+        for pair in pairs.by_thread.values() {
             pair.finish(role);
+        }
+    }
+
+    /// A master syscall the slave never issues at its key (reported in
+    /// `role`'s lane): a syscall difference, and a `sink_kind` causality
+    /// record when it is a sink.
+    pub fn master_only(
+        &self,
+        role: Role,
+        thread: &ThreadKey,
+        entry: Entry,
+        sink_kind: CausalityKind,
+    ) {
+        self.note(role, Decision::MasterOnly, Call::entry(thread, &entry));
+        if entry.is_sink {
+            self.record(CausalityRecord {
+                kind: sink_kind,
+                thread: thread.clone(),
+                key: entry.key,
+                func: entry.func,
+                site: entry.site,
+                sys: entry.sys,
+            });
         }
     }
 
@@ -284,68 +450,65 @@ impl Coupling {
     /// events land deterministically.
     pub fn reconcile(&self) {
         let pairs = self.pairs.lock();
-        let mut ordered: Vec<(&ThreadKey, &Arc<Pair>)> = pairs.iter().collect();
+        let mut ordered: Vec<(&ThreadKey, &Arc<Pair>)> = pairs.by_thread.iter().collect();
         ordered.sort_by(|a, b| a.0.cmp(b.0));
         for (thread, pair) in ordered {
-            let mut inner = pair.inner.lock();
-            while let Some(entry) = inner.queue.pop_front() {
-                self.note(
-                    Role::Master,
-                    Decision::MasterOnly,
-                    Call::entry(thread, &entry),
-                );
-                if entry.is_sink {
-                    self.record(CausalityRecord {
-                        kind: crate::report::CausalityKind::MasterOnlySink,
-                        thread: thread.clone(),
-                        key: entry.key,
-                        func: entry.func,
-                        site: entry.site,
-                        sys: entry.sys,
-                    });
-                }
+            for entry in pair.drain() {
+                self.master_only(Role::Master, thread, entry, CausalityKind::MasterOnlySink);
             }
         }
-    }
-}
-
-/// Waits on `pair` until `cond` holds, the stop signal fires, or roughly
-/// `max_wait` elapses. Returns whether the condition held.
-pub(crate) fn wait_until(
-    pair: &Pair,
-    stop: &StopSignal,
-    max_wait: Duration,
-    mut cond: impl FnMut(&PairInner) -> bool,
-) -> bool {
-    let start = std::time::Instant::now();
-    let mut inner = pair.inner.lock();
-    loop {
-        if cond(&inner) {
-            return true;
-        }
-        if stop.should_stop() || start.elapsed() > max_wait {
-            return cond(&inner);
-        }
-        pair.cv.wait_for(&mut inner, Duration::from_millis(2));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ldx_runtime::ProgressOrder;
+
+    fn key(cnt: u64) -> ProgressKey {
+        let mut k = ProgressKey::start();
+        k.frames[0].cnt = cnt;
+        k
+    }
+
+    fn entry(cnt: u64, site: u32, is_sink: bool) -> Entry {
+        Entry {
+            key: key(cnt),
+            func: FuncId(0),
+            site: SiteId(site),
+            sys: if is_sink {
+                Syscall::Send
+            } else {
+                Syscall::Read
+            },
+            args: vec![],
+            outcome: Value::Int(cnt as i64),
+            is_sink,
+        }
+    }
+
+    fn ctx(cnt: u64, stop: &StopSignal) -> SyscallCtx {
+        SyscallCtx {
+            thread: ThreadKey::root(),
+            key: key(cnt),
+            func: FuncId(0),
+            site: SiteId(0),
+            sys: Syscall::Read,
+            stop: stop.clone(),
+        }
+    }
+
+    fn is_top(r: Option<&ProgressKey>) -> bool {
+        r.is_some_and(ProgressKey::is_top)
+    }
 
     #[test]
     fn pair_publish_and_finish() {
         let c = Coupling::new(false);
-        let t = ThreadKey::root();
-        let p = c.pair(&t);
+        let p = c.pair(&ThreadKey::root());
         p.publish(Role::Master, ProgressKey::start());
-        assert!(p.inner.lock().master_ready.is_some());
+        assert!(p.with_ready(Role::Master, |r| r.is_some()));
         p.finish(Role::Slave);
-        let inner = p.inner.lock();
-        assert!(inner.slave_done);
-        assert!(inner.slave_ready.as_ref().unwrap().is_top());
+        assert!(p.with_ready(Role::Slave, is_top));
     }
 
     #[test]
@@ -353,16 +516,17 @@ mod tests {
         let c = Coupling::new(false);
         c.finish_execution(Role::Master);
         let p = c.pair(&ThreadKey::root().child(3));
-        assert!(p.inner.lock().master_done);
+        assert!(p.with_ready(Role::Master, is_top));
+        assert!(!p.with_ready(Role::Slave, is_top));
     }
 
     #[test]
     fn finish_execution_releases_existing_pairs() {
         let c = Coupling::new(false);
         let p = c.pair(&ThreadKey::root());
-        assert!(!p.inner.lock().master_done);
+        assert!(!p.with_ready(Role::Master, is_top));
         c.finish_execution(Role::Master);
-        assert!(p.inner.lock().master_done);
+        assert!(p.with_ready(Role::Master, is_top));
     }
 
     #[test]
@@ -374,62 +538,98 @@ mod tests {
     }
 
     #[test]
-    fn wait_until_releases_on_stop() {
+    fn wait_past_releases_on_stop() {
         let c = Coupling::new(false);
         let p = c.pair(&ThreadKey::root());
         let stop = StopSignal::new();
         stop.request_exit(0);
-        let held = wait_until(&p, &stop, Duration::from_secs(5), |i| i.master_done);
-        assert!(!held);
+        assert!(!p.wait_past(Role::Master, &key(1), &stop));
     }
 
     #[test]
-    fn wait_until_observes_condition() {
-        let c = Arc::new(Coupling::new(false));
+    fn wait_past_observes_progress() {
+        let c = Coupling::new(false);
         let p = c.pair(&ThreadKey::root());
         let p2 = Arc::clone(&p);
         let h = std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(10));
-            p2.publish(Role::Master, ProgressKey::top());
+            p2.publish(Role::Slave, key(4));
         });
-        let stop = StopSignal::new();
-        let held = wait_until(&p, &stop, Duration::from_secs(5), |i| {
-            i.master_ready
-                .as_ref()
-                .is_some_and(|k| k.cmp_progress(&ProgressKey::start()) == ProgressOrder::Ahead)
-        });
-        assert!(held);
+        assert!(p.wait_past(Role::Slave, &key(4), &StopSignal::new()));
         h.join().unwrap();
+    }
+
+    #[test]
+    fn slave_skips_behind_entries_through_the_callback() {
+        let c = Coupling::new(false);
+        let p = c.pair(&ThreadKey::root());
+        p.push(entry(1, 1, false));
+        p.push(entry(2, 2, true));
+        p.push(entry(3, 3, false));
+        let mut skipped = Vec::new();
+        let next = p.next_for_slave(&ctx(3, &StopSignal::new()), |e| skipped.push(e.site));
+        assert_eq!(skipped, vec![SiteId(1), SiteId(2)]);
+        assert!(matches!(next, Next::Aligned(e) if e.site == SiteId(3)));
+        assert!(p.drain().is_empty());
+        assert!(p.with_ready(Role::Slave, |r| r == Some(&key(3))));
+    }
+
+    #[test]
+    fn slave_takes_an_equal_entry() {
+        let c = Coupling::new(false);
+        let p = c.pair(&ThreadKey::root());
+        p.push(entry(5, 7, false));
+        let next = p.next_for_slave(&ctx(5, &StopSignal::new()), |_| panic!("nothing behind"));
+        assert!(
+            matches!(next, Next::Aligned(e) if e.site == SiteId(7) && e.outcome == Value::Int(5))
+        );
+        assert!(p.drain().is_empty());
+    }
+
+    #[test]
+    fn slave_leaves_an_ahead_entry_queued() {
+        let c = Coupling::new(false);
+        let p = c.pair(&ThreadKey::root());
+        p.push(entry(9, 1, false));
+        let next = p.next_for_slave(&ctx(5, &StopSignal::new()), |_| panic!("nothing behind"));
+        assert!(matches!(next, Next::MasterPast));
+        assert_eq!(p.drain().len(), 1);
+    }
+
+    #[test]
+    fn finished_master_or_stop_releases_the_slave() {
+        let c = Coupling::new(false);
+        let p = c.pair(&ThreadKey::root());
+        let p2 = Arc::clone(&p);
+        let h = std::thread::spawn(move || {
+            // The slave publishes its key before it waits.
+            while !p2.with_ready(Role::Slave, |r| r.is_some()) {
+                std::thread::yield_now();
+            }
+            p2.finish(Role::Master);
+        });
+        let next = p.next_for_slave(&ctx(5, &StopSignal::new()), |_| {});
+        assert!(matches!(next, Next::MasterPast));
+        h.join().unwrap();
+
+        let q = c.pair(&ThreadKey::root().child(0));
+        let stop = StopSignal::new();
+        stop.request_exit(0);
+        assert!(matches!(
+            q.next_for_slave(&ctx(5, &stop), |_| {}),
+            Next::GaveUp
+        ));
     }
 
     #[test]
     fn reconcile_counts_master_only_entries() {
         let c = Coupling::new(false);
-        let t = ThreadKey::root();
-        let p = c.pair(&t);
-        {
-            let mut inner = p.inner.lock();
-            inner.queue.push_back(Entry {
-                key: ProgressKey::start(),
-                func: FuncId(0),
-                site: SiteId(0),
-                sys: Syscall::Read,
-                args: vec![],
-                outcome: Value::Int(0),
-                is_sink: false,
-            });
-            inner.queue.push_back(Entry {
-                key: ProgressKey::start(),
-                func: FuncId(0),
-                site: SiteId(1),
-                sys: Syscall::Send,
-                args: vec![],
-                outcome: Value::Int(0),
-                is_sink: true,
-            });
-        }
+        let p = c.pair(&ThreadKey::root());
+        p.push(entry(0, 0, false));
+        p.push(entry(0, 1, true));
         c.reconcile();
         assert_eq!(c.stats.diffs.load(Ordering::Relaxed), 1);
         assert_eq!(c.records.lock().len(), 1);
+        assert!(p.drain().is_empty());
     }
 }

@@ -9,22 +9,17 @@
 //! reaches — which detects exactly the same causality set without the
 //! master-side stall (deviation documented in DESIGN.md).
 
-use crate::couple::{wait_until, Call, Coupling, Entry};
+use crate::couple::{Call, Coupling, Entry};
 use crate::recorder::{key_scalar, Decision, FlightEvent};
 use crate::report::Role;
 use crate::resolved::ResolvedSinks;
 use ldx_lang::Syscall;
 use ldx_runtime::{
-    from_sys_ret, to_sys_args, LockTable, ProgressKey, ProgressOrder, StopSignal, SysOutcome,
-    SyscallCtx, SyscallHooks, ThreadKey, Trap, Value,
+    from_sys_ret, to_sys_args, LockTable, ProgressKey, StopSignal, SysOutcome, SyscallCtx,
+    SyscallHooks, ThreadKey, Trap, Value,
 };
 use ldx_vos::Vos;
 use std::sync::Arc;
-use std::time::Duration;
-
-/// How long any coupling wait may block before giving up (safety valve;
-/// orders of magnitude above any legitimate wait in the test suite).
-pub(crate) const MAX_WAIT: Duration = Duration::from_secs(30);
 
 /// Master-side hooks.
 pub(crate) struct MasterHooks {
@@ -39,9 +34,7 @@ pub(crate) struct MasterHooks {
 
 impl MasterHooks {
     fn enqueue(&self, ctx: &SyscallCtx, args: &[Value], outcome: Value, is_sink: bool) {
-        let pair = self.coupling.pair(&ctx.thread);
-        let mut inner = pair.inner.lock();
-        inner.queue.push_back(Entry {
+        self.coupling.pair(&ctx.thread).push(Entry {
             key: ctx.key.clone(),
             func: ctx.func,
             site: ctx.site,
@@ -50,9 +43,6 @@ impl MasterHooks {
             outcome,
             is_sink,
         });
-        inner.master_ready = Some(ctx.key.clone());
-        drop(inner);
-        pair.cv.notify_all();
         self.coupling
             .note(Role::Master, Decision::Executed, Call::at(ctx, is_sink));
     }
@@ -95,14 +85,10 @@ impl SyscallHooks for MasterHooks {
                     // published progress asserts every entry up to the key
                     // is enqueued, and the sink entry is not (an early-
                     // arriving slave would decouple spuriously otherwise).
-                    let pair = self.coupling.pair(&ctx.thread);
                     let _s = ldx_obs::span(ldx_obs::cat::BARRIER_WAIT, "sink-wait");
-                    wait_until(&pair, &ctx.stop, MAX_WAIT, |inner| {
-                        inner.slave_done
-                            || inner.slave_ready.as_ref().is_some_and(|ready| {
-                                !matches!(ready.cmp_progress(&ctx.key), ProgressOrder::Behind)
-                            })
-                    });
+                    self.coupling
+                        .pair(&ctx.thread)
+                        .wait_past(Role::Slave, &ctx.key, &ctx.stop);
                 }
                 let sys_args = to_sys_args(args)?;
                 let outcome = from_sys_ret(self.vos.syscall(sys, &sys_args)?);
@@ -116,7 +102,7 @@ impl SyscallHooks for MasterHooks {
         &self,
         thread: &ThreadKey,
         key: &ProgressKey,
-        _stop: &StopSignal,
+        stop: &StopSignal,
     ) -> Result<(), Trap> {
         // Detection mode (default): publishing the barrier progress is
         // sufficient for alignment — the slave's per-syscall wait provides
@@ -126,13 +112,7 @@ impl SyscallHooks for MasterHooks {
         let pair = self.coupling.pair(thread);
         pair.publish(Role::Master, key.clone());
         self.coupling.flight(Role::Master, || {
-            let peer = pair
-                .inner
-                .lock()
-                .slave_ready
-                .as_ref()
-                .map(key_scalar)
-                .unwrap_or(0);
+            let peer = pair.with_ready(Role::Slave, |r| r.map(key_scalar).unwrap_or(0));
             FlightEvent::Barrier {
                 thread: thread.clone(),
                 key: key.clone(),
@@ -141,12 +121,7 @@ impl SyscallHooks for MasterHooks {
         });
         if self.enforcement {
             let _s = ldx_obs::span(ldx_obs::cat::BARRIER_WAIT, "loop-barrier");
-            wait_until(&pair, _stop, MAX_WAIT, |inner| {
-                inner.slave_done
-                    || inner.slave_ready.as_ref().is_some_and(|ready| {
-                        !matches!(ready.cmp_progress(key), ProgressOrder::Behind)
-                    })
-            });
+            pair.wait_past(Role::Slave, key, stop);
         }
         Ok(())
     }

@@ -56,7 +56,7 @@ pub fn key_scalar(key: &ProgressKey) -> u64 {
         .map(|f| {
             f.loops
                 .iter()
-                .fold(f.cnt, |acc, &(_, epoch)| acc.saturating_add(epoch))
+                .fold(f.cnt, |acc, &(_, _, epoch)| acc.saturating_add(epoch))
         })
         .fold(0u64, u64::saturating_add)
 }

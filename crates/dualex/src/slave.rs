@@ -17,25 +17,22 @@
 //! Source-matched input outcomes are mutated (this is where the
 //! counterfactual perturbation enters the slave).
 
-use crate::couple::{Call, Coupling};
+use crate::couple::{master_delta, Call, Coupling, Next};
 use crate::fdmap::{FdInfo, Resource, SlaveFdMap};
 use crate::mutation::Mutation;
-use crate::recorder::{excerpt, key_scalar, ByteDiff, Decision, FlightEvent, ResourceId};
+use crate::recorder::{excerpt, ByteDiff, Decision, FlightEvent, ResourceId};
 use crate::report::{CausalityKind, CausalityRecord, Role};
 use crate::resolved::{ResolvedMatcher, ResolvedSinks, ResolvedSources};
 use ldx_lang::Syscall;
 use ldx_runtime::{
-    from_sys_ret, to_sys_args, LockTable, ProgressKey, ProgressOrder, StopSignal, SysOutcome,
-    SyscallCtx, SyscallHooks, ThreadKey, Trap, Value,
+    from_sys_ret, to_sys_args, LockTable, ProgressKey, StopSignal, SysOutcome, SyscallCtx,
+    SyscallHooks, ThreadKey, Trap, Value,
 };
 use ldx_vos::{SlaveVos, SysArg, SysRet};
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
-
-use crate::master::MAX_WAIT;
 
 /// Slave-side hooks.
 pub(crate) struct SlaveHooks {
@@ -47,15 +44,6 @@ pub(crate) struct SlaveHooks {
     pub fdmap: Mutex<SlaveFdMap>,
     pub decoupled_threads: Mutex<HashSet<ThreadKey>>,
     pub spawn_counts: Mutex<HashMap<ThreadKey, u32>>,
-}
-
-/// How far the master's published progress is past the slave's key (0
-/// when unknown, terminal, or behind).
-fn master_delta(master: Option<&ProgressKey>, slave: &ProgressKey) -> u64 {
-    match master {
-        Some(m) if !m.is_top() => key_scalar(m).saturating_sub(key_scalar(slave)),
-        _ => 0,
-    }
 }
 
 /// Result of the alignment check.
@@ -94,176 +82,84 @@ impl SlaveHooks {
         parts.join(", ")
     }
 
-    /// The alignment state machine, instrumented. When observability is
-    /// on and the slave actually blocked, the wait is reported to the
-    /// stall profiler (keyed by the barrier's static site) together with
-    /// the master/slave progress-counter delta observed at release.
+    /// The alignment state machine (Alg. 2). Never blocks forever: the
+    /// pair releases it on the master's progress, the master's
+    /// termination, the stop signal, or the safety timeout. Every
+    /// decision the slave witnesses — including master-only entries it
+    /// skips — lands in the slave lane, so each lane has a single writer
+    /// while both executions run.
     fn align(&self, ctx: &SyscallCtx, args: &[Value], is_sink: bool) -> Align {
-        let mut waits: u64 = 0;
-        if !ldx_obs::enabled() {
-            return self.align_inner(ctx, args, is_sink, &mut waits);
-        }
-        let t0_ns = ldx_obs::now_ns();
-        let out = self.align_inner(ctx, args, is_sink, &mut waits);
-        if waits > 0 {
-            let ns = ldx_obs::now_ns().saturating_sub(t0_ns);
-            let delta = {
-                let pair = self.coupling.pair(&ctx.thread);
-                let inner = pair.inner.lock();
-                master_delta(inner.master_ready.as_ref(), &ctx.key)
-            };
-            ldx_obs::stall_record(&format!("f{}:s{}", ctx.func.0, ctx.site.0), ns, delta);
-            ldx_obs::record_complete(
-                ldx_obs::cat::BARRIER_WAIT,
-                "align-wait",
-                t0_ns,
-                ns,
-                vec![("delta", delta as i64), ("waits", waits as i64)],
-            );
-        }
-        out
-    }
-
-    /// The alignment state machine. Never blocks forever: released by the
-    /// master's progress, the master's termination, the stop signal, or
-    /// the safety timeout. `waits` counts condvar blocks for the caller's
-    /// stall accounting. Every decision the slave witnesses — including
-    /// master-only entries it skips — lands in the slave lane, so each
-    /// lane has a single writer while both executions run.
-    fn align_inner(
-        &self,
-        ctx: &SyscallCtx,
-        args: &[Value],
-        is_sink: bool,
-        waits: &mut u64,
-    ) -> Align {
-        let pair = self.coupling.pair(&ctx.thread);
-        pair.publish(Role::Slave, ctx.key.clone());
-
-        let start = Instant::now();
-        let mut inner = pair.inner.lock();
-        loop {
-            if let Some(front) = inner.queue.front() {
-                match front.key.cmp_progress(&ctx.key) {
-                    ProgressOrder::Behind => {
-                        // A master-only syscall the slave will never issue.
-                        let e = inner.queue.pop_front().expect("front exists");
-                        self.coupling.note(
-                            Role::Slave,
-                            Decision::MasterOnly,
-                            Call::entry(&ctx.thread, &e),
-                        );
-                        if e.is_sink {
-                            self.coupling.record(CausalityRecord {
-                                kind: CausalityKind::MasterOnlySink,
-                                thread: ctx.thread.clone(),
-                                key: e.key,
-                                func: e.func,
-                                site: e.site,
-                                sys: e.sys,
-                            });
-                        }
-                    }
-                    ProgressOrder::Equal => {
-                        if front.site == ctx.site && front.sys == ctx.sys {
-                            if front.args == args {
-                                let e = inner.queue.pop_front().expect("front exists");
-                                let decision = if is_sink {
-                                    // Equal payloads: the sink's outcome is
-                                    // shared too, which `Compared` alone
-                                    // does not imply.
-                                    self.coupling.stats.shared.fetch_add(1, Ordering::Relaxed);
-                                    Decision::Compared
-                                } else {
-                                    Decision::Shared
-                                };
-                                self.coupling
-                                    .note(Role::Slave, decision, Call::at(ctx, is_sink));
-                                return Align::Shared(e.outcome);
-                            }
-                            // Same site, different arguments (Alg. 2 case 3).
-                            let e = inner.queue.pop_front().expect("front exists");
-                            if is_sink {
-                                self.coupling.note(
-                                    Role::Slave,
-                                    Decision::Compared,
-                                    Call::at(ctx, true),
-                                );
-                                self.coupling.flight(Role::Slave, || FlightEvent::SinkDiff {
-                                    thread: ctx.thread.clone(),
-                                    func: ctx.func,
-                                    site: ctx.site,
-                                    sys: ctx.sys,
-                                    key: ctx.key.clone(),
-                                    diff: ByteDiff::compute(
-                                        &Self::render_args(&e.args),
-                                        &Self::render_args(args),
-                                    ),
-                                });
-                                self.record_sink(
-                                    ctx,
-                                    CausalityKind::ArgDiff {
-                                        master: Self::render_args(&e.args),
-                                        slave: Self::render_args(args),
-                                    },
-                                );
-                            } else {
-                                // A non-sink argument mismatch has no
-                                // flight event of its own.
-                                self.coupling.stats.diffs.fetch_add(1, Ordering::Relaxed);
-                            }
-                            return Align::Decoupled;
-                        }
-                        // Same key, different site (Alg. 2 case 2).
-                        let e = inner.queue.pop_front().expect("front exists");
-                        self.coupling.note(
-                            Role::Slave,
-                            Decision::MasterOnly,
-                            Call::entry(&ctx.thread, &e),
-                        );
-                        if e.is_sink {
-                            self.coupling.record(CausalityRecord {
-                                kind: CausalityKind::PathDiffAtSink,
-                                thread: ctx.thread.clone(),
-                                key: e.key,
-                                func: e.func,
-                                site: e.site,
-                                sys: e.sys,
-                            });
-                        }
-                        if is_sink {
-                            self.slave_only_sink(ctx);
-                        }
-                        return Align::Decoupled;
-                    }
-                    ProgressOrder::Ahead | ProgressOrder::Divergent => {
-                        // The master is already past this key: no alignment
-                        // will ever exist (Alg. 2 case 1).
-                        if is_sink {
-                            self.slave_only_sink(ctx);
-                        }
-                        return Align::Decoupled;
-                    }
+        // Behind entries: master-only syscalls the slave will never issue.
+        let next = self.coupling.pair(&ctx.thread).next_for_slave(ctx, |e| {
+            self.coupling
+                .master_only(Role::Slave, &ctx.thread, e, CausalityKind::MasterOnlySink)
+        });
+        match next {
+            Next::Aligned(e) if e.site == ctx.site && e.sys == ctx.sys => {
+                if e.args == args {
+                    let decision = if is_sink {
+                        // Equal payloads: the sink's outcome is shared
+                        // too, which `Compared` alone does not imply.
+                        self.coupling.stats.shared.fetch_add(1, Ordering::Relaxed);
+                        Decision::Compared
+                    } else {
+                        Decision::Shared
+                    };
+                    self.coupling
+                        .note(Role::Slave, decision, Call::at(ctx, is_sink));
+                    return Align::Shared(e.outcome);
                 }
-                continue;
+                // Same site, different arguments (Alg. 2 case 3).
+                if is_sink {
+                    self.coupling
+                        .note(Role::Slave, Decision::Compared, Call::at(ctx, true));
+                    self.coupling.flight(Role::Slave, || FlightEvent::SinkDiff {
+                        thread: ctx.thread.clone(),
+                        func: ctx.func,
+                        site: ctx.site,
+                        sys: ctx.sys,
+                        key: ctx.key.clone(),
+                        diff: ByteDiff::compute(
+                            &Self::render_args(&e.args),
+                            &Self::render_args(args),
+                        ),
+                    });
+                    self.record_sink(
+                        ctx,
+                        CausalityKind::ArgDiff {
+                            master: Self::render_args(&e.args),
+                            slave: Self::render_args(args),
+                        },
+                    );
+                } else {
+                    // A non-sink argument mismatch has no flight event of
+                    // its own.
+                    self.coupling.stats.diffs.fetch_add(1, Ordering::Relaxed);
+                }
+                Align::Decoupled
             }
-            // Queue empty: decide by the master's published progress.
-            let master_past = inner.master_done
-                || inner
-                    .master_ready
-                    .as_ref()
-                    .is_some_and(|r| !matches!(r.cmp_progress(&ctx.key), ProgressOrder::Behind));
-            if master_past {
+            Next::Aligned(e) => {
+                // Same key, different site (Alg. 2 case 2).
+                self.coupling.master_only(
+                    Role::Slave,
+                    &ctx.thread,
+                    e,
+                    CausalityKind::PathDiffAtSink,
+                );
                 if is_sink {
                     self.slave_only_sink(ctx);
                 }
-                return Align::Decoupled;
+                Align::Decoupled
             }
-            if ctx.stop.should_stop() || start.elapsed() > MAX_WAIT {
-                return Align::Decoupled;
+            // The master is already past this key: no alignment will
+            // ever exist (Alg. 2 case 1).
+            Next::MasterPast => {
+                if is_sink {
+                    self.slave_only_sink(ctx);
+                }
+                Align::Decoupled
             }
-            *waits += 1;
-            pair.cv.wait_for(&mut inner, Duration::from_millis(2));
+            Next::GaveUp => Align::Decoupled,
         }
     }
 
@@ -732,7 +628,7 @@ impl SyscallHooks for SlaveHooks {
         self.coupling.flight(Role::Slave, || FlightEvent::Barrier {
             thread: thread.clone(),
             key: key.clone(),
-            delta: master_delta(pair.inner.lock().master_ready.as_ref(), key),
+            delta: pair.with_ready(Role::Master, |r| master_delta(r, key)),
         });
         Ok(())
     }

@@ -416,7 +416,7 @@ mod tests {
         let scalars: Vec<u64> = writes.iter().map(|e| e.key.frames[0].cnt).collect();
         assert_eq!(scalars[0], scalars[1]);
         assert_eq!(scalars[1], scalars[2]);
-        let epochs: Vec<u64> = writes.iter().map(|e| e.key.frames[0].loops[0].1).collect();
+        let epochs: Vec<u64> = writes.iter().map(|e| e.key.frames[0].loops[0].2).collect();
         assert_eq!(epochs, vec![0, 1, 2]);
         // The close after the loop is strictly ahead of every write.
         let close = evs

@@ -151,7 +151,7 @@ struct Activation {
     /// Whether this activation opened a fresh counter frame.
     fresh: bool,
     /// Instrumented loops currently active in this activation.
-    loops: Vec<(LoopUid, u64)>,
+    loops: Vec<(LoopUid, u64, u64)>,
     /// Unique instance id (setjmp validity check).
     gen: u64,
 }
@@ -163,7 +163,7 @@ struct JmpBuf {
     idx: usize,
     dst: LocalId,
     counter_frames: Vec<u64>,
-    loops_snapshot: Vec<Vec<(LoopUid, u64)>>,
+    loops_snapshot: Vec<Vec<(LoopUid, u64, u64)>>,
 }
 
 struct Machine {
@@ -452,37 +452,28 @@ impl Machine {
             }
             Instr::LoopEnter { loop_id } => {
                 let uid = LoopUid::new(func.0, loop_id.0);
+                let entry_cnt = *self.cnt();
                 self.activations
                     .last_mut()
                     .expect("active frame")
                     .loops
-                    .push((uid, 0));
+                    .push((uid, entry_cnt, 0));
             }
             Instr::LoopBackedge { loop_id, sub } => {
                 let key = self.current_key();
                 self.stats.barrier_waits += 1;
-                if ldx_obs::enabled() {
-                    let t0 = std::time::Instant::now();
-                    self.env
-                        .hooks
-                        .loop_barrier(&self.thread, &key, &self.env.stop)?;
-                    let ns = t0.elapsed().as_nanos() as u64;
-                    self.stats.barrier_wait_ns += ns;
-                    ldx_obs::histogram_record("runtime.barrier_wait_ns", ns);
-                } else {
-                    self.env
-                        .hooks
-                        .loop_barrier(&self.thread, &key, &self.env.stop)?;
-                }
+                self.env
+                    .hooks
+                    .loop_barrier(&self.thread, &key, &self.env.stop)?;
                 let uid = LoopUid::new(func.0, loop_id.0);
                 let act = self.activations.last_mut().expect("active frame");
                 let entry = act
                     .loops
                     .iter_mut()
                     .rev()
-                    .find(|(l, _)| *l == uid)
+                    .find(|(l, _, _)| *l == uid)
                     .expect("backedge of an entered loop");
-                entry.1 += 1;
+                entry.2 += 1;
                 let cnt = self.cnt();
                 debug_assert!(*cnt >= *sub, "backedge reset underflow");
                 *cnt = cnt.saturating_sub(*sub);
@@ -493,7 +484,7 @@ impl Machine {
                 let pos = act
                     .loops
                     .iter()
-                    .rposition(|(l, _)| *l == uid)
+                    .rposition(|(l, _, _)| *l == uid)
                     .expect("exit of an entered loop");
                 act.loops.truncate(pos);
                 *self.cnt() += add;

@@ -11,7 +11,10 @@
 //!   stack of scalars;
 //! * **loop iteration epochs** — the backedge barrier aligns iteration `i`
 //!   of the master with iteration `i` of the slave (paper §5), so within an
-//!   instrumented loop the iteration number is part of "where we are";
+//!   instrumented loop the iteration number is part of "where we are". A
+//!   loop entered again in the same frame (e.g. a helper with a loop
+//!   called twice) restarts at epoch 0, so each active loop also carries
+//!   the frame counter at its entry, which orders its instances;
 //! * the position `(function, site)` — the "PC" — which is *not* part of
 //!   the key but is compared separately when matching syscalls.
 //!
@@ -37,9 +40,9 @@ impl LoopUid {
 /// Progress within one fresh counter frame.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct FrameKey {
-    /// Active instrumented loops (outermost first) with their iteration
-    /// epochs.
-    pub loops: Vec<(LoopUid, u64)>,
+    /// Active instrumented loops (outermost first): `(loop, frame counter
+    /// at entry, iteration epoch)`.
+    pub loops: Vec<(LoopUid, u64, u64)>,
     /// The frame's scalar counter.
     pub cnt: u64,
 }
@@ -113,9 +116,11 @@ fn cmp_frames(a: &FrameKey, b: &FrameKey) -> ProgressOrder {
     let mut i = 0;
     loop {
         match (a.loops.get(i), b.loops.get(i)) {
-            (Some((la, ea)), Some((lb, eb))) => {
+            (Some((la, na, ea)), Some((lb, nb, eb))) => {
                 if la == lb {
-                    match ea.cmp(eb) {
+                    // Entry counter first: a later instance of a re-entered
+                    // loop is ahead of every iteration of an earlier one.
+                    match (na, ea).cmp(&(nb, eb)) {
                         std::cmp::Ordering::Less => return ProgressOrder::Behind,
                         std::cmp::Ordering::Greater => return ProgressOrder::Ahead,
                         std::cmp::Ordering::Equal => i += 1,
@@ -154,7 +159,7 @@ fn cmp_frames(a: &FrameKey, b: &FrameKey) -> ProgressOrder {
                         } else {
                             (b, false)
                         };
-                        let entered = longer.loops[i..].iter().any(|&(_, e)| e > 0);
+                        let entered = longer.loops[i..].iter().any(|&(_, _, e)| e > 0);
                         if !entered {
                             ProgressOrder::Equal
                         } else if longer_is_a {
@@ -175,7 +180,7 @@ impl fmt::Display for ProgressKey {
             if i > 0 {
                 write!(f, "/")?;
             }
-            for (lid, epoch) in &frame.loops {
+            for (lid, _, epoch) in &frame.loops {
                 write!(f, "L{:x}#{}:", lid.0, epoch)?;
             }
             if frame.cnt == u64::MAX {
@@ -218,7 +223,7 @@ mod tests {
         assert_eq!(top.cmp_progress(&ProgressKey::top()), ProgressOrder::Equal);
         let deep = key(vec![
             FrameKey {
-                loops: vec![(lp(1), 9)],
+                loops: vec![(lp(1), 0, 9)],
                 cnt: 3,
             },
             FrameKey {
@@ -233,11 +238,11 @@ mod tests {
     fn loop_epochs_dominate_scalars() {
         // Same loop, later iteration but smaller scalar: still ahead.
         let early = key(vec![FrameKey {
-            loops: vec![(lp(1), 1)],
+            loops: vec![(lp(1), 0, 1)],
             cnt: 9,
         }]);
         let later = key(vec![FrameKey {
-            loops: vec![(lp(1), 4)],
+            loops: vec![(lp(1), 0, 4)],
             cnt: 2,
         }]);
         assert_eq!(later.cmp_progress(&early), ProgressOrder::Ahead);
@@ -247,11 +252,11 @@ mod tests {
     #[test]
     fn same_loop_same_epoch_compares_scalars() {
         let a = key(vec![FrameKey {
-            loops: vec![(lp(1), 2)],
+            loops: vec![(lp(1), 0, 2)],
             cnt: 3,
         }]);
         let b = key(vec![FrameKey {
-            loops: vec![(lp(1), 2)],
+            loops: vec![(lp(1), 0, 2)],
             cnt: 5,
         }]);
         assert_eq!(a.cmp_progress(&b), ProgressOrder::Behind);
@@ -260,17 +265,17 @@ mod tests {
     #[test]
     fn different_loops_with_equal_scalars_diverge() {
         let a = key(vec![FrameKey {
-            loops: vec![(lp(1), 0)],
+            loops: vec![(lp(1), 0, 0)],
             cnt: 3,
         }]);
         let b = key(vec![FrameKey {
-            loops: vec![(lp(2), 0)],
+            loops: vec![(lp(2), 0, 0)],
             cnt: 3,
         }]);
         assert_eq!(a.cmp_progress(&b), ProgressOrder::Divergent);
         // Unequal scalars still order them.
         let c = key(vec![FrameKey {
-            loops: vec![(lp(2), 0)],
+            loops: vec![(lp(2), 0, 0)],
             cnt: 9,
         }]);
         assert_eq!(a.cmp_progress(&c), ProgressOrder::Behind);
@@ -280,7 +285,7 @@ mod tests {
     fn in_loop_vs_outside_loop() {
         // Outside at a larger scalar (post-exit, +1 strictness): ahead.
         let inside = key(vec![FrameKey {
-            loops: vec![(lp(1), 7)],
+            loops: vec![(lp(1), 0, 7)],
             cnt: 3,
         }]);
         let past = flat(4);
@@ -290,7 +295,7 @@ mod tests {
         // Equal scalars, epoch 0: both effectively at the loop entry.
         let at_entry = flat(3);
         let just_entered = key(vec![FrameKey {
-            loops: vec![(lp(1), 0)],
+            loops: vec![(lp(1), 0, 0)],
             cnt: 3,
         }]);
         assert_eq!(just_entered.cmp_progress(&at_entry), ProgressOrder::Equal);
@@ -334,13 +339,30 @@ mod tests {
     }
 
     #[test]
+    fn a_reentered_loop_is_ordered_by_its_entry() {
+        // The same loop entered twice in one frame: the earlier instance
+        // (entered at 3, now in iteration 1) is behind the later one
+        // (entered at 6, iteration 0), though its epoch is larger.
+        let earlier = key(vec![FrameKey {
+            loops: vec![(lp(1), 3, 1)],
+            cnt: 5,
+        }]);
+        let later = key(vec![FrameKey {
+            loops: vec![(lp(1), 6, 0)],
+            cnt: 7,
+        }]);
+        assert_eq!(earlier.cmp_progress(&later), ProgressOrder::Behind);
+        assert_eq!(later.cmp_progress(&earlier), ProgressOrder::Ahead);
+    }
+
+    #[test]
     fn nested_loop_epochs_compare_outer_first() {
         let a = key(vec![FrameKey {
-            loops: vec![(lp(1), 3), (lp(2), 9)],
+            loops: vec![(lp(1), 0, 3), (lp(2), 0, 9)],
             cnt: 2,
         }]);
         let b = key(vec![FrameKey {
-            loops: vec![(lp(1), 4), (lp(2), 0)],
+            loops: vec![(lp(1), 0, 4), (lp(2), 0, 0)],
             cnt: 2,
         }]);
         assert_eq!(a.cmp_progress(&b), ProgressOrder::Behind);
@@ -350,7 +372,7 @@ mod tests {
     fn display_is_readable() {
         let k = key(vec![
             FrameKey {
-                loops: vec![(lp(0x100000001), 2)],
+                loops: vec![(lp(0x100000001), 0, 2)],
                 cnt: 4,
             },
             FrameKey {
@@ -377,12 +399,17 @@ mod tests {
         use proptest::prelude::*;
 
         fn arb_frame() -> impl Strategy<Value = FrameKey> {
-            (proptest::collection::vec((0u64..4, 0u64..4), 0..3), 0u64..8).prop_map(
-                |(loops, cnt)| FrameKey {
-                    loops: loops.into_iter().map(|(l, e)| (LoopUid(l), e)).collect(),
-                    cnt,
-                },
+            (
+                proptest::collection::vec((0u64..4, 0u64..3, 0u64..4), 0..3),
+                0u64..8,
             )
+                .prop_map(|(loops, cnt)| FrameKey {
+                    loops: loops
+                        .into_iter()
+                        .map(|(l, n, e)| (LoopUid(l), n, e))
+                        .collect(),
+                    cnt,
+                })
         }
 
         fn arb_key() -> impl Strategy<Value = ProgressKey> {

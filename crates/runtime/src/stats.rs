@@ -22,9 +22,6 @@ pub struct RunStats {
     pub threads_spawned: u64,
     /// Loop-backedge barrier crossings (hook invocations at backedges).
     pub barrier_waits: u64,
-    /// Nanoseconds spent inside barrier hooks. Only accumulated while
-    /// `ldx_obs::enabled()` — zero in plain (untimed) runs.
-    pub barrier_wait_ns: u64,
 }
 
 impl RunStats {
@@ -56,7 +53,6 @@ impl RunStats {
         self.max_activation_depth = self.max_activation_depth.max(other.max_activation_depth);
         self.threads_spawned += other.threads_spawned;
         self.barrier_waits += other.barrier_waits;
-        self.barrier_wait_ns += other.barrier_wait_ns;
     }
 }
 
@@ -87,7 +83,6 @@ mod tests {
             max_activation_depth: 4,
             threads_spawned: 1,
             barrier_waits: 3,
-            barrier_wait_ns: 100,
         };
         let b = RunStats {
             steps: 5,
@@ -99,7 +94,6 @@ mod tests {
             max_activation_depth: 2,
             threads_spawned: 0,
             barrier_waits: 2,
-            barrier_wait_ns: 50,
         };
         a.merge(&b);
         assert_eq!(a.steps, 15);
@@ -108,6 +102,5 @@ mod tests {
         assert_eq!(a.max_counter_depth, 2);
         assert_eq!(a.max_activation_depth, 4);
         assert_eq!(a.barrier_waits, 5);
-        assert_eq!(a.barrier_wait_ns, 150);
     }
 }
