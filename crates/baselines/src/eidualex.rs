@@ -16,7 +16,7 @@
 //! here for overhead comparison, not to re-derive LDX's tolerance).
 
 use crate::config_mutate::mutate_config;
-use ldx_dualex::{SinkSpec, SourceSpec};
+use ldx_dualex::{fd_arg, ResolvedSinks, SinkSpec, SourceSpec};
 use ldx_ir::FuncId;
 use ldx_lang::Syscall;
 use ldx_runtime::{
@@ -121,7 +121,7 @@ struct EiHooks {
     native: NativeHooks,
     monitor: Arc<Monitor>,
     is_master: bool,
-    sinks: SinkSpec,
+    sinks: ResolvedSinks,
     /// Per-thread instruction index traces.
     traces: Mutex<HashMap<ThreadKey, Vec<u64>>>,
 }
@@ -196,14 +196,9 @@ impl SyscallHooks for EiHooks {
         let outcome = self.native.syscall(ctx, args)?;
         let cell = self.monitor.cell(&ctx.thread);
         let digest = self.digest(&ctx.thread);
-        let is_sink = match &self.sinks {
-            SinkSpec::NetworkOut => ctx.sys == Syscall::Send,
-            SinkSpec::FileOut => {
-                ctx.sys == Syscall::Write
-                    && matches!(args.first(), Some(Value::Int(fd)) if *fd >= 3)
-            }
-            _ => ctx.sys.is_output(),
-        };
+        let is_sink = self
+            .sinks
+            .is_sink(ctx.func, ctx.site, ctx.sys, fd_arg(args));
 
         if self.is_master {
             // Publish the event and wait for the slave to consume it
@@ -278,6 +273,7 @@ pub fn ei_dual_execute(
         slave_done: std::sync::atomic::AtomicBool::new(false),
     });
     let mutated = mutate_config(config, sources);
+    let sinks = ResolvedSinks::resolve(sinks, &program);
 
     let master_hooks: Arc<dyn SyscallHooks> = Arc::new(EiHooks {
         native: NativeHooks::new(Arc::new(Vos::new(config))),
@@ -290,7 +286,7 @@ pub fn ei_dual_execute(
         native: NativeHooks::new(Arc::new(Vos::new(&mutated))),
         monitor: Arc::clone(&monitor),
         is_master: false,
-        sinks: sinks.clone(),
+        sinks,
         traces: Mutex::new(HashMap::new()),
     });
 

@@ -13,10 +13,9 @@
 //! per-thread syscall streams, and compares them with a sliding window.
 
 use crate::config_mutate::mutate_config;
-use ldx_dualex::{SinkSpec, SourceSpec};
+use ldx_dualex::{fd_arg, ResolvedSinks, SinkSpec, SourceSpec};
 use ldx_runtime::{
-    run_program, ExecConfig, NativeHooks, RecordingHooks, RunOutcome, SyscallEvent, ThreadKey,
-    Trap, Value,
+    run_program, ExecConfig, NativeHooks, RecordingHooks, RunOutcome, SyscallEvent, ThreadKey, Trap,
 };
 use ldx_vos::{Vos, VosConfig};
 use std::collections::BTreeMap;
@@ -53,6 +52,8 @@ pub fn tightlip_execute(
     sinks: &SinkSpec,
     exec: ExecConfig,
 ) -> TightLipReport {
+    let sinks = ResolvedSinks::resolve(sinks, &program);
+    let is_sink = |e: &SyscallEvent| sinks.is_sink(e.func, e.site, e.sys, fd_arg(&e.args));
     let (master_events, master_out) = record_run(Arc::clone(&program), config, exec);
     let mutated = mutate_config(config, sources);
     let (dg_events, dg_out) = record_run(program, &mutated, exec);
@@ -98,7 +99,7 @@ pub fn tightlip_execute(
                         break 'outer;
                     }
                     di = j + 1;
-                    if (me.sys.is_output() || is_sink(sinks, me)) && me.args != d[j].args {
+                    if (me.sys.is_output() || is_sink(me)) && me.args != d[j].args {
                         first_divergence = Some(mi);
                         reason = Some("output arguments differ".to_string());
                         break 'outer;
@@ -136,19 +137,6 @@ fn events_match(a: &SyscallEvent, b: &SyscallEvent) -> bool {
     // compare kind + site (the "PC") but not payloads, which are checked
     // separately at sinks.
     a.sys == b.sys && a.func == b.func && a.site == b.site
-}
-
-fn is_sink(sinks: &SinkSpec, e: &SyscallEvent) -> bool {
-    match sinks {
-        SinkSpec::Outputs | SinkSpec::AllWrites => e.sys.is_output(),
-        SinkSpec::NetworkOut => e.sys == ldx_lang::Syscall::Send,
-        SinkSpec::FileOut => {
-            e.sys == ldx_lang::Syscall::Write
-                && matches!(e.args.first(), Some(Value::Int(fd)) if *fd >= 3)
-        }
-        // Site sinks are an LDX-spec concept; TightLip treats outputs.
-        SinkSpec::Sites(_) => e.sys.is_output(),
-    }
 }
 
 fn record_run(

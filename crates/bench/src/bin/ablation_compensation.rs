@@ -16,12 +16,14 @@
 
 use ldx::{BatchEngine, BatchJob, InstrumentCache};
 
-use ldx_bench::{finish_summary, BenchSummary};
+use ldx_bench::{bench_main, BenchSummary};
+use std::process::ExitCode;
 
-fn main() {
-    let (args, obs_args) = ldx::obs::parse_obs_args(std::env::args().skip(1).collect());
-    ldx::obs::init(&obs_args);
-    let (_args, mut summary) = BenchSummary::from_args("ablation_compensation", args);
+fn main() -> ExitCode {
+    bench_main("ablation_compensation", run)
+}
+
+fn run(_args: Vec<String>, summary: &mut BenchSummary) {
     let phase_start = std::time::Instant::now();
     println!(
         "{:<12} {:>12} {:>12} {:>14} {:>14}",
@@ -83,8 +85,4 @@ fn main() {
          spurious sink mismatches and fewer shared outcomes."
     );
     summary.phase("run", phase_start.elapsed());
-    finish_summary(&summary);
-    if let Err(e) = ldx::obs::finish(&obs_args) {
-        eprintln!("could not write observability output: {e}");
-    }
 }

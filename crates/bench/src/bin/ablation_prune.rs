@@ -37,12 +37,13 @@ fn verdicts(attrs: &[SourceAttribution]) -> String {
         .collect()
 }
 
-use ldx_bench::{finish_summary, BenchSummary};
+use ldx_bench::{bench_main, BenchSummary};
 
 fn main() -> ExitCode {
-    let (args, obs_args) = ldx::obs::parse_obs_args(std::env::args().skip(1).collect());
-    ldx::obs::init(&obs_args);
-    let (_args, mut summary) = BenchSummary::from_args("ablation_prune", args);
+    bench_main("ablation_prune", run)
+}
+
+fn run(_args: Vec<String>, summary: &mut BenchSummary) -> ExitCode {
     let phase_start = std::time::Instant::now();
     println!(
         "{:<12} {:>7} {:>7} {:>9} {:>9} {:>9} {:>9} {:>6}",
@@ -111,10 +112,6 @@ fn main() -> ExitCode {
          ({total_runs_on} dual executions with pruning, {total_runs_off} without)"
     );
     summary.phase("run", phase_start.elapsed());
-    finish_summary(&summary);
-    if let Err(e) = ldx::obs::finish(&obs_args) {
-        eprintln!("could not write observability output: {e}");
-    }
     if !all_same {
         eprintln!("FAIL: pruning changed at least one causality verdict");
         return ExitCode::from(1);

@@ -12,14 +12,15 @@
 //! Run: `cargo run -p ldx-bench --release --bin explain_corpus [--out <dir>] [--summary]`
 
 use ldx::Analysis;
-use ldx_bench::{finish_summary, BenchSummary};
+use ldx_bench::{bench_main, BenchSummary};
 use std::path::Path;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    let (args, obs_args) = ldx::obs::parse_obs_args(std::env::args().skip(1).collect());
-    ldx::obs::init(&obs_args);
-    let (args, mut summary) = BenchSummary::from_args("explain_corpus", args);
+    bench_main("explain_corpus", run)
+}
+
+fn run(args: Vec<String>, summary: &mut BenchSummary) -> ExitCode {
     let mut out_dir = "explain_out".to_string();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -76,10 +77,5 @@ fn main() -> ExitCode {
     println!(
         "explained {total} workloads -> {out_dir}/ ({chains} causal chains, {failures} failures)"
     );
-    finish_summary(&summary);
-    if let Err(e) = ldx::obs::finish(&obs_args) {
-        eprintln!("could not write observability output: {e}");
-        return ExitCode::from(2);
-    }
     ExitCode::from(u8::from(failures > 0))
 }

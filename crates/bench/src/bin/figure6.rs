@@ -34,18 +34,20 @@
 use ldx::{BatchEngine, BatchJob, InstrumentCache};
 use ldx_baselines::ei_dual_execute;
 use ldx_bench::{
-    finish_summary, geomean, json_f64, mean, median_duration, perf_workloads, run_dual_timed,
+    bench_main, geomean, json_f64, mean, median_duration, perf_workloads, run_dual_timed,
     run_native_timed, BenchSummary,
 };
 use ldx_dualex::{DualSpec, Mutation, SourceSpec};
 use ldx_runtime::ExecConfig;
 use ldx_taint::{taint_execute, TaintPolicy};
+use std::process::ExitCode;
 use std::time::Duration;
 
-fn main() {
-    let (args, obs_args) = ldx::obs::parse_obs_args(std::env::args().skip(1).collect());
-    ldx::obs::init(&obs_args);
-    let (args, mut summary) = BenchSummary::from_args("figure6", args);
+fn main() -> ExitCode {
+    bench_main("figure6", run)
+}
+
+fn run(args: Vec<String>, summary: &mut BenchSummary) {
     let reps: usize = args.first().and_then(|s| s.parse().ok()).unwrap_or(5);
     let cpus = std::thread::available_parallelism()
         .map(|n| n.get())
@@ -211,10 +213,6 @@ fn main() {
 
     let path = write_metrics(cpus, &sequential, &parallel, speedup);
     println!("machine-readable metrics: {path}");
-    finish_summary(&summary);
-    if let Err(e) = ldx::obs::finish(&obs_args) {
-        eprintln!("could not write observability output: {e}");
-    }
 }
 
 /// Emits `batch_metrics.json` (hand-rolled writer; no serde in the hot

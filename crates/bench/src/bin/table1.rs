@@ -14,12 +14,14 @@
 //! Run: `cargo run -p ldx-bench --bin table1 [--trace t.json] [--metrics m.json]`
 
 use ldx::{BatchEngine, InstrumentCache};
-use ldx_bench::{finish_summary, run_native_timed, BenchSummary};
+use ldx_bench::{bench_main, run_native_timed, BenchSummary};
+use std::process::ExitCode;
 
-fn main() {
-    let (args, obs_args) = ldx::obs::parse_obs_args(std::env::args().skip(1).collect());
-    ldx::obs::init(&obs_args);
-    let (_args, mut summary) = BenchSummary::from_args("table1", args);
+fn main() -> ExitCode {
+    bench_main("table1", run)
+}
+
+fn run(_args: Vec<String>, summary: &mut BenchSummary) {
     println!(
         "{:<10} {:>5} {:>7} {:>7} {:>6} {:>6} {:>5} {:>6} {:>5} {:>8} {:>9} {:>6} {:>5} {:>6} {:>7} {:>6}",
         "program",
@@ -96,8 +98,4 @@ fn main() {
         "\naverage instrumented fraction: {:.2}% (paper reports 3.44% for its suite)",
         frac * 100.0
     );
-    finish_summary(&summary);
-    if let Err(e) = ldx::obs::finish(&obs_args) {
-        eprintln!("could not write observability output: {e}");
-    }
 }

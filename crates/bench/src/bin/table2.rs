@@ -29,12 +29,14 @@ fn verdict(leak: bool) -> &'static str {
     }
 }
 
-use ldx_bench::{finish_summary, BenchSummary};
+use ldx_bench::{bench_main, BenchSummary};
+use std::process::ExitCode;
 
-fn main() {
-    let (args, obs_args) = ldx::obs::parse_obs_args(std::env::args().skip(1).collect());
-    ldx::obs::init(&obs_args);
-    let (_args, mut summary) = BenchSummary::from_args("table2", args);
+fn main() -> ExitCode {
+    bench_main("table2", run)
+}
+
+fn run(_args: Vec<String>, summary: &mut BenchSummary) {
     let phase_start = std::time::Instant::now();
     println!(
         "{:<10} {:>6} {:>6} {:>9} {:>9} {:>12} {:>8}",
@@ -107,8 +109,4 @@ fn main() {
          perturbs the syscall stream (paper §8.2)."
     );
     summary.phase("run", phase_start.elapsed());
-    finish_summary(&summary);
-    if let Err(e) = ldx::obs::finish(&obs_args) {
-        eprintln!("could not write observability output: {e}");
-    }
 }

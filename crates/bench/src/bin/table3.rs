@@ -39,12 +39,14 @@ struct Row {
     dft: bool,
 }
 
-use ldx_bench::{finish_summary, BenchSummary};
+use ldx_bench::{bench_main, BenchSummary};
+use std::process::ExitCode;
 
-fn main() {
-    let (args, obs_args) = ldx::obs::parse_obs_args(std::env::args().skip(1).collect());
-    ldx::obs::init(&obs_args);
-    let (_args, mut summary) = BenchSummary::from_args("table3", args);
+fn main() -> ExitCode {
+    bench_main("table3", run)
+}
+
+fn run(_args: Vec<String>, summary: &mut BenchSummary) {
     let phase_start = std::time::Instant::now();
     println!(
         "{:<12} {:>5} {:>5} {:>5} | {:>9} {:>11} {:>8} {:>12}",
@@ -115,8 +117,4 @@ fn main() {
     );
     println!("paper: TAINTGRIND 31.47%, LIBDFT 20% of LDX's detected cases.");
     summary.phase("run", phase_start.elapsed());
-    finish_summary(&summary);
-    if let Err(e) = ldx::obs::finish(&obs_args) {
-        eprintln!("could not write observability output: {e}");
-    }
 }

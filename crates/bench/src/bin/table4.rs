@@ -15,13 +15,15 @@
 //! Run: `cargo run -p ldx-bench --bin table4 [runs]`
 
 use ldx::{BatchEngine, BatchJob, InstrumentCache};
-use ldx_bench::{finish_summary, mean, stddev, BenchSummary};
+use ldx_bench::{bench_main, mean, stddev, BenchSummary};
 use ldx_workloads::{by_suite, Suite};
+use std::process::ExitCode;
 
-fn main() {
-    let (args, obs_args) = ldx::obs::parse_obs_args(std::env::args().skip(1).collect());
-    ldx::obs::init(&obs_args);
-    let (args, mut summary) = BenchSummary::from_args("table4", args);
+fn main() -> ExitCode {
+    bench_main("table4", run)
+}
+
+fn run(args: Vec<String>, summary: &mut BenchSummary) {
     let phase_start = std::time::Instant::now();
     let runs: usize = args
         .first()
@@ -81,8 +83,4 @@ fn main() {
          (mtget/mtenc, mirroring the paper's axel/x264)."
     );
     summary.phase("run", phase_start.elapsed());
-    finish_summary(&summary);
-    if let Err(e) = ldx::obs::finish(&obs_args) {
-        eprintln!("could not write observability output: {e}");
-    }
 }

@@ -21,6 +21,7 @@ use ldx_ir::IrProgram;
 use ldx_runtime::{run_program, ExecConfig, NativeHooks, RunOutcome, Trap};
 use ldx_vos::{Vos, VosConfig};
 use ldx_workloads::Workload;
+use std::process::{ExitCode, Termination};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -217,10 +218,10 @@ pub struct BenchSummary {
 
 impl BenchSummary {
     /// Strips `--summary [path]` from `args` and builds the summary.
-    /// Without the flag, the summary is disabled and [`BenchSummary::finish`]
-    /// writes nothing; with a bare `--summary`, the output path defaults
+    /// Without the flag, the summary is disabled and `finish` writes
+    /// nothing; with a bare `--summary`, the output path defaults
     /// to `BENCH_<name>.json` in the working directory.
-    pub fn from_args(name: &'static str, args: Vec<String>) -> (Vec<String>, BenchSummary) {
+    fn from_args(name: &'static str, args: Vec<String>) -> (Vec<String>, BenchSummary) {
         let mut rest = Vec::with_capacity(args.len());
         let mut out = None;
         let mut it = args.into_iter().peekable();
@@ -245,21 +246,6 @@ impl BenchSummary {
                 out,
             },
         )
-    }
-
-    /// A summary that always writes to `path` (for tests).
-    pub fn to_path(name: &'static str, path: impl Into<String>) -> BenchSummary {
-        BenchSummary {
-            name,
-            started: Instant::now(),
-            phases: Vec::new(),
-            out: Some(path.into()),
-        }
-    }
-
-    /// Whether `--summary` was requested.
-    pub fn enabled(&self) -> bool {
-        self.out.is_some()
     }
 
     /// Records a completed phase's duration.
@@ -309,7 +295,7 @@ impl BenchSummary {
     /// # Errors
     ///
     /// Returns the I/O error if the output file cannot be written.
-    pub fn finish(&self) -> std::io::Result<Option<&str>> {
+    fn finish(&self) -> std::io::Result<Option<&str>> {
         match &self.out {
             Some(path) => {
                 std::fs::write(path, self.to_json())?;
@@ -320,14 +306,28 @@ impl BenchSummary {
     }
 }
 
-/// Writes the summary if requested and logs the outcome — the shared
-/// tail of every bench binary's `main`.
-pub fn finish_summary(summary: &BenchSummary) {
+/// The shared `main` of every bench binary. It strips `--trace` /
+/// `--metrics` and `--summary [path]` from the command line, runs `body`
+/// with the remaining arguments, then writes the summary and the
+/// observability outputs. A failed observability write exits with 2.
+pub fn bench_main<T: Termination>(
+    name: &'static str,
+    body: impl FnOnce(Vec<String>, &mut BenchSummary) -> T,
+) -> ExitCode {
+    let (args, obs_args) = ldx::obs::parse_obs_args(std::env::args().skip(1).collect());
+    ldx::obs::init(&obs_args);
+    let (args, mut summary) = BenchSummary::from_args(name, args);
+    let code = body(args, &mut summary).report();
     match summary.finish() {
         Ok(Some(path)) => println!("bench summary: {path}"),
         Ok(None) => {}
         Err(e) => eprintln!("could not write bench summary: {e}"),
     }
+    if let Err(e) = ldx::obs::finish(&obs_args) {
+        eprintln!("could not write observability output: {e}");
+        return ExitCode::from(2);
+    }
+    code
 }
 
 #[cfg(test)]
@@ -373,12 +373,12 @@ mod tests {
         let v = |args: &[&str]| args.iter().map(|s| s.to_string()).collect::<Vec<_>>();
         let (rest, s) = BenchSummary::from_args("t", v(&["5", "--summary", "out.json"]));
         assert_eq!(rest, v(&["5"]));
-        assert!(s.enabled());
+        assert_eq!(s.out.as_deref(), Some("out.json"));
         let (rest, s) = BenchSummary::from_args("t", v(&["--summary", "3"]));
         assert_eq!(rest, v(&["3"]), "non-path operand stays an argument");
-        assert!(s.enabled());
+        assert_eq!(s.out.as_deref(), Some("BENCH_t.json"));
         let (_, s) = BenchSummary::from_args("t", v(&["5"]));
-        assert!(!s.enabled());
+        assert!(s.out.is_none());
         assert!(s.finish().expect("disabled writes nothing").is_none());
     }
 

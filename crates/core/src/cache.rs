@@ -2,13 +2,13 @@
 //!
 //! Batch runs over a corpus repeatedly need the same program in up to two
 //! forms — instrumented (for LDX dual execution) and plain (for native
-//! baselines and ablations). [`InstrumentCache`] keys both by a stable
-//! FNV-1a fingerprint of the source text ([`ldx_instrument::source_fingerprint`])
-//! and hands out `Arc`s, so a corpus sweep compiles each distinct source
-//! exactly once no matter how many jobs, tables, or baseline variants
-//! reference it. Hit/compile counters make that guarantee testable.
+//! baselines and ablations). [`InstrumentCache`] keys both by the source
+//! text itself and hands out `Arc`s, so a corpus sweep compiles each
+//! distinct source exactly once no matter how many jobs, tables, or
+//! baseline variants reference it. Hit/compile counters make that
+//! guarantee testable.
 
-use ldx_instrument::{source_fingerprint, InstrumentedProgram};
+use ldx_instrument::InstrumentedProgram;
 use ldx_ir::IrProgram;
 use ldx_lang::LangError;
 use parking_lot::Mutex;
@@ -35,8 +35,8 @@ pub struct CachedInstrumented {
 /// loser waits and gets the cached `Arc`.
 #[derive(Debug, Default)]
 pub struct InstrumentCache {
-    instrumented: Mutex<HashMap<u64, CachedInstrumented>>,
-    plain: Mutex<HashMap<u64, Arc<IrProgram>>>,
+    instrumented: Mutex<HashMap<String, CachedInstrumented>>,
+    plain: Mutex<HashMap<String, Arc<IrProgram>>>,
     hits: AtomicU64,
     compiles: AtomicU64,
 }
@@ -54,9 +54,8 @@ impl InstrumentCache {
     /// Returns the frontend [`LangError`] on invalid source (errors are
     /// not cached; a retried bad source recompiles).
     pub fn instrumented(&self, source: &str) -> Result<CachedInstrumented, LangError> {
-        let key = source_fingerprint(source);
         let mut map = self.instrumented.lock();
-        if let Some(hit) = map.get(&key) {
+        if let Some(hit) = map.get(source) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             ldx_obs::counter_add("cache.hits", 1);
             return Ok(hit.clone());
@@ -70,7 +69,7 @@ impl InstrumentCache {
             program: Arc::new(instrumented.program().clone()),
             instrumented: Arc::new(instrumented),
         };
-        map.insert(key, entry.clone());
+        map.insert(source.to_owned(), entry.clone());
         Ok(entry)
     }
 
@@ -91,9 +90,8 @@ impl InstrumentCache {
     ///
     /// Returns the frontend [`LangError`] on invalid source.
     pub fn uninstrumented(&self, source: &str) -> Result<Arc<IrProgram>, LangError> {
-        let key = source_fingerprint(source);
         let mut map = self.plain.lock();
-        if let Some(hit) = map.get(&key) {
+        if let Some(hit) = map.get(source) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             ldx_obs::counter_add("cache.hits", 1);
             return Ok(Arc::clone(hit));
@@ -103,7 +101,7 @@ impl InstrumentCache {
         let _s = ldx_obs::span(ldx_obs::cat::COMPILE, "compile-plain");
         let resolved = ldx_lang::compile(source)?;
         let program = Arc::new(ldx_ir::lower(&resolved));
-        map.insert(key, Arc::clone(&program));
+        map.insert(source.to_owned(), Arc::clone(&program));
         Ok(program)
     }
 

@@ -316,7 +316,7 @@ mod tests {
         .unwrap()
         .world(VosConfig::new().file("/s", "data"))
         .source(SourceSpec::file("/s"))
-        .sinks(SinkSpec::AllWrites)
+        .sinks(SinkSpec::Outputs)
         .recorded()
         .run();
         assert!(!report.trace_lines().is_empty());

@@ -19,7 +19,7 @@
 //! source net api.example replace "tampered"
 //! source client 80
 //! source syscall random
-//! sink network            # outputs | network | file | writes
+//! sink network            # outputs | network | file (`writes` = outputs)
 //! sink site guard 0
 //! trace                   # record the flight log (and print the alignment trace)
 //! enforce
@@ -169,10 +169,9 @@ pub fn parse_experiment(text: &str) -> Result<ExperimentFile, SpecFileError> {
             "sink" => match rest {
                 [kind] => {
                     spec.sinks = match kind.as_str() {
-                        "outputs" => SinkSpec::Outputs,
+                        "outputs" | "writes" => SinkSpec::Outputs,
                         "network" => SinkSpec::NetworkOut,
                         "file" => SinkSpec::FileOut,
-                        "writes" => SinkSpec::AllWrites,
                         other => {
                             return Err(err(format!(
                                 "unknown sink kind `{other}` (outputs|network|file|writes|site)"

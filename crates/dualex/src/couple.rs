@@ -439,9 +439,12 @@ impl Coupling {
 
     /// Whether a path is tainted.
     pub fn path_tainted(&self, path: &str) -> bool {
-        self.tainted_paths
-            .lock()
-            .contains(&ldx_vos::normalize_path(path).join("/"))
+        self.segments_tainted(&ldx_vos::normalize_path(path))
+    }
+
+    /// Whether a path, given as normalised segments, is tainted.
+    pub fn segments_tainted(&self, segs: &[String]) -> bool {
+        self.tainted_paths.lock().contains(&segs.join("/"))
     }
 
     /// Drains every unconsumed master entry at the end of the run:
@@ -534,6 +537,7 @@ mod tests {
         let c = Coupling::new(false);
         c.taint_path("/a//b/");
         assert!(c.path_tainted("a/b"));
+        assert!(c.segments_tainted(&["a".to_string(), "b".to_string()]));
         assert!(!c.path_tainted("/a"));
     }
 

@@ -48,7 +48,7 @@ fn dual_execute_inner(program: Arc<IrProgram>, config: &VosConfig, spec: &DualSp
     let coupling = Arc::new(Coupling::new(spec.record));
     let master_vos = Arc::new(Vos::new(config));
 
-    let sinks = ResolvedSinks::resolve(spec, &program);
+    let sinks = ResolvedSinks::resolve(&spec.sinks, &program);
     let sources = ResolvedSources::resolve(&spec.sources, &program);
 
     let master_hooks: Arc<dyn SyscallHooks> = Arc::new(MasterHooks {

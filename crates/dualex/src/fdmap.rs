@@ -9,17 +9,30 @@
 //! for every descriptor the slave program holds, what it refers to and how
 //! far it has consumed it.
 
+use crate::resolved::ResourceView;
 use std::collections::HashMap;
 
 /// What a descriptor refers to.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) enum Resource {
-    /// A file and the open flags (0 read / 1 write / 2 append).
-    File { path: String, flags: i64 },
+    /// A file, as normalised path segments, and the open flags (0 read /
+    /// 1 write / 2 append).
+    File { path: Vec<String>, flags: i64 },
     /// An outbound peer connection.
     Peer { host: String },
     /// An accepted client connection: which port and the accept index.
     Client { port: i64, index: usize },
+}
+
+impl Resource {
+    /// Borrows the resource for source matching.
+    pub fn view(&self) -> ResourceView<'_> {
+        match self {
+            Resource::File { path, .. } => ResourceView::File(path),
+            Resource::Peer { host } => ResourceView::Peer(host),
+            Resource::Client { port, .. } => ResourceView::Client(*port),
+        }
+    }
 }
 
 /// Per-descriptor state.
@@ -50,7 +63,7 @@ impl SlaveFdMap {
                 fd,
                 FdInfo {
                     resource: Resource::File {
-                        path: path.to_string(),
+                        path: ldx_vos::normalize_path(path),
                         flags,
                     },
                     pos: 0,
@@ -129,7 +142,7 @@ mod tests {
     #[test]
     fn tracks_open_read_seek_close() {
         let mut m = SlaveFdMap::default();
-        m.on_open(3, "/f", 0);
+        m.on_open(3, "//f/", 0);
         m.on_read(3, 5);
         assert_eq!(m.get(3).unwrap().pos, 5);
         m.on_seek(3, 1);
@@ -138,7 +151,7 @@ mod tests {
         assert_eq!(
             info.resource,
             Resource::File {
-                path: "/f".into(),
+                path: vec!["f".to_string()],
                 flags: 0
             }
         );

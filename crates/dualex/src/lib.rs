@@ -67,6 +67,7 @@ pub use recorder::{
     EXCERPT_BYTES,
 };
 pub use report::{CausalityKind, CausalityRecord, DualReport, Role};
+pub use resolved::{fd_arg, ResolvedSinks, ResolvedSources, Resource, ResourceView};
 pub use spec::{DualSpec, SinkSpec, SourceMatcher, SourceSpec};
 
 #[cfg(test)]

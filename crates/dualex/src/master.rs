@@ -12,7 +12,7 @@
 use crate::couple::{Call, Coupling, Entry};
 use crate::recorder::{key_scalar, Decision, FlightEvent};
 use crate::report::Role;
-use crate::resolved::ResolvedSinks;
+use crate::resolved::{fd_arg, ResolvedSinks};
 use ldx_lang::Syscall;
 use ldx_runtime::{
     from_sys_ret, to_sys_args, LockTable, ProgressKey, StopSignal, SysOutcome, SyscallCtx,
@@ -77,7 +77,7 @@ impl SyscallHooks for MasterHooks {
                 Ok(SysOutcome::DoLocal)
             }
             sys => {
-                let is_sink = self.sinks.is_sink(ctx.func, ctx.site, sys, args);
+                let is_sink = self.sinks.is_sink(ctx.func, ctx.site, sys, fd_arg(args));
                 if is_sink && self.enforcement {
                     // Alg. 2 lines 2–6: spin until the slave catches up so
                     // the comparison happens before the output escapes.

@@ -22,7 +22,7 @@ use crate::fdmap::{FdInfo, Resource, SlaveFdMap};
 use crate::mutation::Mutation;
 use crate::recorder::{excerpt, ByteDiff, Decision, FlightEvent, ResourceId};
 use crate::report::{CausalityKind, CausalityRecord, Role};
-use crate::resolved::{ResolvedMatcher, ResolvedSinks, ResolvedSources};
+use crate::resolved::{fd_arg, ResolvedSinks, ResolvedSources};
 use ldx_lang::Syscall;
 use ldx_runtime::{
     from_sys_ret, to_sys_args, LockTable, ProgressKey, StopSignal, SysOutcome, SyscallCtx,
@@ -163,36 +163,17 @@ impl SlaveHooks {
         }
     }
 
-    /// Mutation matching one of the configured sources, if any.
+    /// Mutation of the first configured source the syscall matches.
     fn source_mutation(&self, ctx: &SyscallCtx, args: &[Value]) -> Option<Mutation> {
         let fdmap = self.fdmap.lock();
-        let fd_resource = args.first().and_then(|a| match a {
-            Value::Int(fd) => fdmap.get(*fd).map(|i| i.resource.clone()),
-            _ => None,
-        });
-        for source in &self.sources.sources {
-            let hit = match &source.matcher {
-                ResolvedMatcher::FileRead(segs) => {
-                    ctx.sys == Syscall::Read
-                        && matches!(&fd_resource, Some(Resource::File { path, .. })
-                            if &ldx_vos::normalize_path(path) == segs)
-                }
-                ResolvedMatcher::NetRecv(host) => {
-                    matches!(ctx.sys, Syscall::Recv | Syscall::Read)
-                        && matches!(&fd_resource, Some(Resource::Peer { host: h }) if h == host)
-                }
-                ResolvedMatcher::ClientRecv(port) => {
-                    matches!(ctx.sys, Syscall::Recv | Syscall::Read)
-                        && matches!(&fd_resource, Some(Resource::Client { port: p, .. }) if p == port)
-                }
-                ResolvedMatcher::SyscallKind(sys) => ctx.sys == *sys,
-                ResolvedMatcher::Site(fid, site) => ctx.func == *fid && ctx.site == *site,
-            };
-            if hit {
-                return Some(source.mutation.clone());
-            }
-        }
-        None
+        let resource = fd_arg(args)
+            .and_then(|fd| fdmap.get(fd))
+            .map(|i| i.resource.view());
+        let (_, mutation) = self
+            .sources
+            .matching(ctx.func, ctx.site, ctx.sys, resource)
+            .next()?;
+        Some(mutation.clone())
     }
 
     /// Whether the syscall references a tainted resource.
@@ -212,7 +193,7 @@ impl SlaveHooks {
                     ..
                 }) = self.fdmap.lock().get(*fd)
                 {
-                    return self.coupling.path_tainted(path);
+                    return self.coupling.segments_tainted(path);
                 }
             }
         }
@@ -249,18 +230,16 @@ impl SlaveHooks {
         }
         let ofd = match &info.resource {
             Resource::File { path, flags } => {
-                self.coupling.taint_path(path);
+                let path = path.join("/");
+                self.coupling.taint_path(&path);
                 self.coupling.flight(Role::Slave, || FlightEvent::CowClone {
-                    resource: ResourceId::Path(ldx_vos::normalize_path(path).join("/")),
+                    resource: ResourceId::Path(path.clone()),
                     pos: info.pos as u64,
                 });
                 let mode = if *flags == 0 { 0 } else { 2 };
                 let SysRet::Int(ofd) = self
                     .overlay
-                    .syscall(
-                        Syscall::Open,
-                        &[SysArg::Str(path.clone()), SysArg::Int(mode)],
-                    )
+                    .syscall(Syscall::Open, &[SysArg::Str(path), SysArg::Int(mode)])
                     .ok()?
                 else {
                     return None;
@@ -529,7 +508,7 @@ impl SyscallHooks for SlaveHooks {
                 Ok(SysOutcome::DoLocal)
             }
             sys => {
-                let is_sink = self.sinks.is_sink(ctx.func, ctx.site, sys, args);
+                let is_sink = self.sinks.is_sink(ctx.func, ctx.site, sys, fd_arg(args));
                 let alignment = if self.thread_decoupled(&ctx.thread) {
                     if is_sink {
                         self.record_sink(ctx, CausalityKind::SlaveOnlySink);

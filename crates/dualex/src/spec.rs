@@ -74,25 +74,10 @@ pub enum SinkSpec {
     NetworkOut,
     /// Local file output only (`write` to fd >= 3, i.e. not stdio).
     FileOut,
-    /// `write`s to stdio too (useful for small examples).
-    AllWrites,
     /// Specific static call sites, `(function name, site index)` — how the
     /// vulnerable-program suite marks its critical execution points
     /// (return addresses, allocation sizes).
     Sites(Vec<(String, u32)>),
-}
-
-impl SinkSpec {
-    /// Whether a syscall kind can ever be a sink under this spec (site
-    /// matching is done by the engine, which knows the site).
-    pub fn matches_kind(&self, sys: Syscall) -> bool {
-        match self {
-            SinkSpec::Outputs | SinkSpec::AllWrites => sys.is_output(),
-            SinkSpec::NetworkOut => sys == Syscall::Send,
-            SinkSpec::FileOut => sys == Syscall::Write,
-            SinkSpec::Sites(_) => true,
-        }
-    }
 }
 
 /// The full dual-execution specification.
@@ -166,17 +151,6 @@ impl DualSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn sink_kind_matching() {
-        assert!(SinkSpec::Outputs.matches_kind(Syscall::Write));
-        assert!(SinkSpec::Outputs.matches_kind(Syscall::Send));
-        assert!(!SinkSpec::Outputs.matches_kind(Syscall::Read));
-        assert!(SinkSpec::NetworkOut.matches_kind(Syscall::Send));
-        assert!(!SinkSpec::NetworkOut.matches_kind(Syscall::Write));
-        assert!(SinkSpec::FileOut.matches_kind(Syscall::Write));
-        assert!(SinkSpec::Sites(vec![]).matches_kind(Syscall::Close));
-    }
 
     #[test]
     fn builders_compose() {

@@ -42,13 +42,11 @@
 //! ```
 
 mod analysis;
-mod fingerprint;
 mod pass;
 mod report;
 mod verify;
 
 pub use analysis::{CounterAnalysis, FuncCounters};
-pub use fingerprint::source_fingerprint;
 pub use pass::{instrument, InstrumentedProgram};
 pub use report::{FuncReport, InstrumentationReport};
 pub use verify::{check_counter_consistency, check_counter_consistency_all, ConsistencyError};

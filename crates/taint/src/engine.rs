@@ -21,7 +21,7 @@
 //! concurrency, and this keeps them deterministic.
 
 use crate::tval::{Labels, TVal};
-use ldx_dualex::{SinkSpec, SourceMatcher, SourceSpec};
+use ldx_dualex::{ResolvedSinks, ResolvedSources, Resource, SinkSpec, SourceSpec};
 use ldx_ir::dom::PostDominators;
 use ldx_ir::{BlockId, FuncId, Instr, IrProgram, LocalId, SiteId, Terminator};
 use ldx_lang::Syscall;
@@ -76,8 +76,9 @@ impl TaintReport {
 
 /// Runs `program` under taint tracking.
 ///
-/// `sources` use the same matchers as the dual-execution engine (mutations
-/// are ignored — tainting labels instead of perturbing). `sinks` likewise.
+/// `sources` use the same matchers as the dual-execution engine
+/// ([`ResolvedSources`]; mutations are ignored — tainting labels instead
+/// of perturbing), and `sinks` the same [`ResolvedSinks`].
 pub fn taint_execute(
     program: &Arc<IrProgram>,
     config: &VosConfig,
@@ -96,13 +97,6 @@ pub fn taint_execute(
     }
 }
 
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Resource {
-    File(Vec<String>),
-    Peer(String),
-    Client(i64),
-}
-
 struct Activation {
     func: FuncId,
     block: BlockId,
@@ -116,9 +110,8 @@ struct Activation {
 struct TaintInterp {
     program: Arc<IrProgram>,
     vos: VosState,
-    sources: Vec<(ResolvedSource, Labels)>,
-    sinks: SinkSpec,
-    sink_sites: BTreeSet<(FuncId, SiteId)>,
+    sources: ResolvedSources,
+    sinks: ResolvedSinks,
     policy: TaintPolicy,
     postdoms: Vec<PostDominators>,
     activations: Vec<Activation>,
@@ -135,15 +128,6 @@ struct TaintInterp {
     pub total_sink_instances: u64,
 }
 
-#[derive(Debug, Clone)]
-enum ResolvedSource {
-    FileRead(Vec<String>),
-    NetRecv(String),
-    ClientRecv(i64),
-    SyscallKind(Syscall),
-    Site(FuncId, SiteId),
-}
-
 impl TaintInterp {
     fn new(
         program: Arc<IrProgram>,
@@ -152,31 +136,6 @@ impl TaintInterp {
         sinks: &SinkSpec,
         policy: TaintPolicy,
     ) -> Self {
-        let resolved: Vec<(ResolvedSource, Labels)> = sources
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| {
-                let r = match &s.matcher {
-                    SourceMatcher::FileRead(p) => {
-                        ResolvedSource::FileRead(ldx_vos::normalize_path(p))
-                    }
-                    SourceMatcher::NetRecv(h) => ResolvedSource::NetRecv(h.clone()),
-                    SourceMatcher::ClientRecv(p) => ResolvedSource::ClientRecv(*p),
-                    SourceMatcher::SyscallKind(sys) => ResolvedSource::SyscallKind(*sys),
-                    SourceMatcher::Site(f, site) => {
-                        ResolvedSource::Site(program.func_id(f)?, SiteId(*site))
-                    }
-                };
-                Some((r, 1u64 << (i % 64)))
-            })
-            .collect();
-        let sink_sites = match sinks {
-            SinkSpec::Sites(list) => list
-                .iter()
-                .filter_map(|(f, s)| program.func_id(f).map(|fid| (fid, SiteId(*s))))
-                .collect(),
-            _ => BTreeSet::new(),
-        };
         let postdoms = program
             .functions
             .iter()
@@ -188,11 +147,10 @@ impl TaintInterp {
             .map(|(_, c)| TVal::from_value(&const_to_value(c), 0))
             .collect();
         TaintInterp {
+            sources: ResolvedSources::resolve(sources, &program),
+            sinks: ResolvedSinks::resolve(sinks, &program),
             program,
             vos: VosState::build(config),
-            sources: resolved,
-            sinks: sinks.clone(),
-            sink_sites,
             policy,
             postdoms,
             activations: Vec::new(),
@@ -460,47 +418,6 @@ impl TaintInterp {
         Ok(())
     }
 
-    fn is_sink(&self, func: FuncId, site: SiteId, sys: Syscall, args: &[TVal]) -> bool {
-        match &self.sinks {
-            SinkSpec::Outputs | SinkSpec::AllWrites => sys.is_output(),
-            SinkSpec::NetworkOut => sys == Syscall::Send,
-            SinkSpec::FileOut => {
-                sys == Syscall::Write
-                    && args
-                        .first()
-                        .and_then(TVal::as_int)
-                        .is_some_and(|fd| fd >= 3)
-            }
-            SinkSpec::Sites(_) => self.sink_sites.contains(&(func, site)),
-        }
-    }
-
-    fn source_labels(&self, func: FuncId, site: SiteId, sys: Syscall, fd: Option<i64>) -> Labels {
-        let resource = fd.and_then(|fd| self.fd_resources.get(&fd));
-        let mut labels = 0;
-        for (src, bit) in &self.sources {
-            let hit = match src {
-                ResolvedSource::FileRead(segs) => {
-                    sys == Syscall::Read && matches!(resource, Some(Resource::File(p)) if p == segs)
-                }
-                ResolvedSource::NetRecv(host) => {
-                    matches!(sys, Syscall::Recv | Syscall::Read)
-                        && matches!(resource, Some(Resource::Peer(h)) if h == host)
-                }
-                ResolvedSource::ClientRecv(port) => {
-                    matches!(sys, Syscall::Recv | Syscall::Read)
-                        && matches!(resource, Some(Resource::Client(p)) if p == port)
-                }
-                ResolvedSource::SyscallKind(k) => sys == *k,
-                ResolvedSource::Site(f, s) => func == *f && site == *s,
-            };
-            if hit {
-                labels |= bit;
-            }
-        }
-        labels
-    }
-
     fn exec_syscall(
         &mut self,
         func: FuncId,
@@ -513,7 +430,8 @@ impl TaintInterp {
         let targs: Vec<TVal> = args.iter().map(|a| self.local(*a).clone()).collect();
 
         // Sink bookkeeping.
-        if self.is_sink(func, site, sys, &targs) {
+        let fd = targs.first().and_then(TVal::as_int);
+        if self.sinks.is_sink(func, site, sys, fd) {
             self.total_sink_instances += 1;
             let labels = targs.iter().fold(0, |acc, t| acc | t.deep_labels()) | self.ctrl_labels();
             if labels != 0 {
@@ -616,11 +534,12 @@ impl TaintInterp {
             _ => {}
         }
 
-        let fd = match sys_args.first() {
-            Some(SysArg::Int(fd)) => Some(*fd),
-            _ => None,
-        };
-        let labels = self.source_labels(func, site, sys, fd);
+        // Every matching source contributes its label bit.
+        let resource = fd.and_then(|fd| self.fd_resources.get(&fd));
+        let labels = self
+            .sources
+            .matching(func, site, sys, resource.map(Resource::view))
+            .fold(0, |acc, (i, _)| acc | 1u64 << (i % 64));
         let value = match ret {
             SysRet::Int(i) => Value::Int(i),
             SysRet::Str(s) => Value::str(s),

@@ -18,59 +18,12 @@ import json
 import sys
 from pathlib import Path
 
+from schema_subset import Invalid, fail, validate
+
 HERE = Path(__file__).resolve().parent
 SCHEMA_PATH = HERE.parent / "schemas" / "bench_summary_schema.json"
 BASELINE_PATH = HERE / "bench_baseline.json"
 REGRESSION_THRESHOLD = 1.20
-
-TYPES = {
-    "object": dict,
-    "array": list,
-    "string": str,
-    "boolean": bool,
-    "number": (int, float),
-}
-
-
-class Invalid(Exception):
-    pass
-
-
-def fail(path, message):
-    raise Invalid(f"{path or '$'}: {message}")
-
-
-def validate(value, schema, path=""):
-    if "enum" in schema:
-        if value not in schema["enum"]:
-            fail(path, f"{value!r} not in {schema['enum']}")
-        return
-    typ = schema.get("type")
-    if typ == "integer":
-        if not isinstance(value, int) or isinstance(value, bool):
-            fail(path, f"expected integer, got {type(value).__name__}")
-    elif typ is not None:
-        expected = TYPES[typ]
-        if not isinstance(value, expected):
-            fail(path, f"expected {typ}, got {type(value).__name__}")
-    if "minimum" in schema and value < schema["minimum"]:
-        fail(path, f"{value} < minimum {schema['minimum']}")
-    if isinstance(value, dict):
-        for key in schema.get("required", ()):
-            if key not in value:
-                fail(path, f"missing required key {key!r}")
-        props = schema.get("properties", {})
-        extra = schema.get("additionalProperties")
-        for key, item in value.items():
-            if key in props:
-                validate(item, props[key], f"{path}.{key}")
-            elif isinstance(extra, dict):
-                validate(item, extra, f"{path}.{key}")
-    if isinstance(value, list):
-        item_schema = schema.get("items")
-        if isinstance(item_schema, dict):
-            for i, item in enumerate(value):
-                validate(item, item_schema, f"{path}[{i}]")
 
 
 def main():
@@ -90,7 +43,7 @@ def main():
     try:
         for f in files:
             summary = json.loads(f.read_text())
-            validate(summary, schema, f.name)
+            validate(summary, schema, path=f.name)
             name = summary["name"]
             wall = summary["wall_ns"]
             base = baseline.get(name)

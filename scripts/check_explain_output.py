@@ -5,10 +5,8 @@ Usage:
     check_explain_output.py explain_out/            # a directory of explain_*.json
     check_explain_output.py report.json [more.json] # individual files
 
-Stdlib-only: implements the JSON-Schema subset the schema file actually
-uses (type incl. "null", anyOf, required, properties,
-additionalProperties-as-schema, items, enum, minimum, $ref into
-#/definitions). On top of the schema it asserts semantics the schema
+Stdlib-only: validates with the JSON-Schema subset in schema_subset.py.
+On top of the schema it asserts semantics the schema
 cannot express: every chain's source_index names a source the report
 marks causal, a chain's sink always carries a syscall name, and a
 statically-independent source is never causal (the sdep soundness
@@ -19,72 +17,9 @@ import json
 import sys
 from pathlib import Path
 
+from schema_subset import Invalid, fail, validate
+
 SCHEMA_PATH = Path(__file__).resolve().parent.parent / "schemas" / "explain_schema.json"
-
-TYPES = {
-    "object": dict,
-    "array": list,
-    "string": str,
-    "boolean": bool,
-    "number": (int, float),
-    "null": type(None),
-}
-
-
-class Invalid(Exception):
-    pass
-
-
-def fail(path, message):
-    raise Invalid(f"{path or '$'}: {message}")
-
-
-def validate(value, schema, defs, path=""):
-    if "$ref" in schema:
-        name = schema["$ref"].rsplit("/", 1)[-1]
-        validate(value, defs[name], defs, path)
-        return
-    if "anyOf" in schema:
-        errors = []
-        for option in schema["anyOf"]:
-            try:
-                validate(value, option, defs, path)
-                return
-            except Invalid as err:
-                errors.append(str(err))
-        fail(path, f"no anyOf branch matched: {errors}")
-    if "enum" in schema:
-        if value not in schema["enum"]:
-            fail(path, f"{value!r} not in {schema['enum']}")
-        return
-    typ = schema.get("type")
-    if typ == "integer":
-        if not isinstance(value, int) or isinstance(value, bool):
-            fail(path, f"expected integer, got {type(value).__name__}")
-    elif typ is not None:
-        expected = TYPES[typ]
-        if not isinstance(value, expected) or (
-            typ == "number" and isinstance(value, bool)
-        ):
-            fail(path, f"expected {typ}, got {type(value).__name__}")
-    if "minimum" in schema and value < schema["minimum"]:
-        fail(path, f"{value} < minimum {schema['minimum']}")
-    if isinstance(value, dict):
-        for key in schema.get("required", ()):
-            if key not in value:
-                fail(path, f"missing required key {key!r}")
-        props = schema.get("properties", {})
-        extra = schema.get("additionalProperties")
-        for key, item in value.items():
-            if key in props:
-                validate(item, props[key], defs, f"{path}.{key}")
-            elif isinstance(extra, dict):
-                validate(item, extra, defs, f"{path}.{key}")
-    if isinstance(value, list):
-        item_schema = schema.get("items")
-        if isinstance(item_schema, dict):
-            for i, item in enumerate(value):
-                validate(item, item_schema, defs, f"{path}[{i}]")
 
 
 def check_report(report, schema, defs, label):

@@ -4,10 +4,8 @@
 Usage:
     check_obs_output.py --trace obs_trace.json --metrics obs_metrics.json
 
-Stdlib-only: implements the JSON-Schema subset the schema file actually
-uses (type, required, properties, additionalProperties-as-schema, items,
-enum, minimum, minItems, $ref into #/definitions). On top of the schema,
-it asserts trace semantics the schema cannot express: the span categories
+Stdlib-only: validates with the JSON-Schema subset in schema_subset.py.
+On top of the schema, it asserts trace semantics the schema cannot express: the span categories
 the acceptance criteria require, monotonically plausible timestamps, and
 `dur` present exactly on complete ("X") events.
 """
@@ -16,6 +14,8 @@ import argparse
 import json
 import sys
 from pathlib import Path
+
+from schema_subset import Invalid, fail, validate
 
 SCHEMA_PATH = Path(__file__).resolve().parent.parent / "schemas" / "obs_schema.json"
 
@@ -26,63 +26,6 @@ REQUIRED_TRACE_CATEGORIES = {
     "syscall-decision",
     "barrier-wait",
 }
-
-TYPES = {
-    "object": dict,
-    "array": list,
-    "string": str,
-    "boolean": bool,
-    "number": (int, float),
-}
-
-
-class Invalid(Exception):
-    pass
-
-
-def fail(path, message):
-    raise Invalid(f"{path or '$'}: {message}")
-
-
-def validate(value, schema, defs, path=""):
-    if "$ref" in schema:
-        name = schema["$ref"].rsplit("/", 1)[-1]
-        validate(value, defs[name], defs, path)
-        return
-    if "enum" in schema:
-        if value not in schema["enum"]:
-            fail(path, f"{value!r} not in {schema['enum']}")
-        return
-    typ = schema.get("type")
-    if typ == "integer":
-        if not isinstance(value, int) or isinstance(value, bool):
-            fail(path, f"expected integer, got {type(value).__name__}")
-    elif typ is not None:
-        expected = TYPES[typ]
-        if not isinstance(value, expected) or (
-            typ == "number" and isinstance(value, bool)
-        ):
-            fail(path, f"expected {typ}, got {type(value).__name__}")
-    if "minimum" in schema and value < schema["minimum"]:
-        fail(path, f"{value} < minimum {schema['minimum']}")
-    if isinstance(value, dict):
-        for key in schema.get("required", ()):
-            if key not in value:
-                fail(path, f"missing required key {key!r}")
-        props = schema.get("properties", {})
-        extra = schema.get("additionalProperties")
-        for key, item in value.items():
-            if key in props:
-                validate(item, props[key], defs, f"{path}.{key}")
-            elif isinstance(extra, dict):
-                validate(item, extra, defs, f"{path}.{key}")
-    if isinstance(value, list):
-        if "minItems" in schema and len(value) < schema["minItems"]:
-            fail(path, f"{len(value)} items < minItems {schema['minItems']}")
-        item_schema = schema.get("items")
-        if isinstance(item_schema, dict):
-            for i, item in enumerate(value):
-                validate(item, item_schema, defs, f"{path}[{i}]")
 
 
 def check_trace(events, defs):

@@ -8,7 +8,9 @@
 //!   so LDX ⊆ TightLip on verdicts);
 //! * the taint tools never report on a *sink-free* flow LDX rejects as
 //!   non-causal **and** data-independent (sanity floor: an untainted,
-//!   unchanged sink is reported by nobody).
+//!   unchanged sink is reported by nobody);
+//! * the taint engine and LDX's master count the same sink instances on
+//!   the original world (both ask `ldx_dualex::ResolvedSinks`).
 
 use ldx_baselines::{mutate_config, tightlip_execute};
 use ldx_dualex::dual_execute;
@@ -110,6 +112,30 @@ fn tightlip_reports_whenever_ldx_does() {
             tl.reported,
             "`{}`: LDX reports but TightLip does not ({:?})",
             w.name, tl.reason
+        );
+    }
+}
+
+#[test]
+fn taint_and_dual_engines_agree_on_sinks() {
+    // Deterministic suites only: a threaded master's sink count follows
+    // its schedule, while the taint engine runs threads inline.
+    for w in corpus() {
+        if w.suite == Suite::Concurrent {
+            continue;
+        }
+        let tg = taint_execute(
+            &w.program_uninstrumented(),
+            &w.world,
+            &w.sources,
+            &w.sinks,
+            TaintPolicy::TaintGrindLike,
+        );
+        let ldx_report = dual_execute(w.program(), &w.world, &w.dual_spec());
+        assert_eq!(
+            tg.total_sink_instances, ldx_report.master_sinks,
+            "`{}`: taint and dual engines disagree about the sink count",
+            w.name
         );
     }
 }

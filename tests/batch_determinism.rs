@@ -201,10 +201,8 @@ fn extension_fanout_matches_across_pool_sizes() {
 #[test]
 fn cache_compiles_each_distinct_source_exactly_once() {
     let workloads = ldx_workloads::corpus();
-    let distinct: std::collections::HashSet<u64> = workloads
-        .iter()
-        .map(|w| ldx_instrument::source_fingerprint(&w.source))
-        .collect();
+    let distinct: std::collections::HashSet<&str> =
+        workloads.iter().map(|w| w.source.as_str()).collect();
     let cache = InstrumentCache::new();
     for _ in 0..3 {
         for w in &workloads {
