@@ -16,15 +16,14 @@
 
 use ldx::{BatchEngine, BatchJob, InstrumentCache};
 
-use ldx_bench::{bench_main, BenchSummary};
+use ldx_bench::bench_main;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    bench_main("ablation_compensation", run)
+    bench_main(run)
 }
 
-fn run(_args: Vec<String>, summary: &mut BenchSummary) {
-    let phase_start = std::time::Instant::now();
+fn run(_args: Vec<String>) {
     println!(
         "{:<12} {:>12} {:>12} {:>14} {:>14}",
         "program", "false+instr", "false-naive", "shared+instr", "shared-naive"
@@ -84,5 +83,4 @@ fn run(_args: Vec<String>, summary: &mut BenchSummary) {
          counter loses alignment after any path difference, producing \
          spurious sink mismatches and fewer shared outcomes."
     );
-    summary.phase("run", phase_start.elapsed());
 }

@@ -15,15 +15,14 @@
 use ldx::{BatchEngine, BatchJob, InstrumentCache};
 use ldx_dualex::{DualSpec, Mutation, SourceSpec};
 
-use ldx_bench::{bench_main, BenchSummary};
+use ldx_bench::bench_main;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    bench_main("ablation_mutation", run)
+    bench_main(run)
 }
 
-fn run(_args: Vec<String>, summary: &mut BenchSummary) {
-    let phase_start = std::time::Instant::now();
+fn run(_args: Vec<String>) {
     let strategies = [
         ("off-by-one", Mutation::OffByOne),
         ("bit-flip", Mutation::BitFlip),
@@ -101,5 +100,4 @@ fn run(_args: Vec<String>, summary: &mut BenchSummary) {
          matters (strong causality), not that off-by-one dominates \
          pointwise."
     );
-    summary.phase("run", phase_start.elapsed());
 }

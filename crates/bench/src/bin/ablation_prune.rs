@@ -37,14 +37,13 @@ fn verdicts(attrs: &[SourceAttribution]) -> String {
         .collect()
 }
 
-use ldx_bench::{bench_main, BenchSummary};
+use ldx_bench::bench_main;
 
 fn main() -> ExitCode {
-    bench_main("ablation_prune", run)
+    bench_main(run)
 }
 
-fn run(_args: Vec<String>, summary: &mut BenchSummary) -> ExitCode {
-    let phase_start = std::time::Instant::now();
+fn run(_args: Vec<String>) -> ExitCode {
     println!(
         "{:<12} {:>7} {:>7} {:>9} {:>9} {:>9} {:>9} {:>6}",
         "program", "sources", "pruned", "runs-on", "runs-off", "ms-on", "ms-off", "same"
@@ -111,7 +110,6 @@ fn run(_args: Vec<String>, summary: &mut BenchSummary) -> ExitCode {
         "\ntotal: pruned {total_pruned} of {total_runs_off} source runs \
          ({total_runs_on} dual executions with pruning, {total_runs_off} without)"
     );
-    summary.phase("run", phase_start.elapsed());
     if !all_same {
         eprintln!("FAIL: pruning changed at least one causality verdict");
         return ExitCode::from(1);

@@ -9,18 +9,18 @@
 //! truthfulness invariants: a workload expected to leak must produce at
 //! least one chain, and every chain must name a sink.
 //!
-//! Run: `cargo run -p ldx-bench --release --bin explain_corpus [--out <dir>] [--summary]`
+//! Run: `cargo run -p ldx-bench --release --bin explain_corpus [--out <dir>]`
 
 use ldx::Analysis;
-use ldx_bench::{bench_main, BenchSummary};
+use ldx_bench::bench_main;
 use std::path::Path;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    bench_main("explain_corpus", run)
+    bench_main(run)
 }
 
-fn run(args: Vec<String>, summary: &mut BenchSummary) -> ExitCode {
+fn run(args: Vec<String>) -> ExitCode {
     let mut out_dir = "explain_out".to_string();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -32,7 +32,7 @@ fn run(args: Vec<String>, summary: &mut BenchSummary) -> ExitCode {
             }
             other => {
                 eprintln!("unknown argument {other}");
-                eprintln!("usage: explain_corpus [--out <dir>] [--summary]");
+                eprintln!("usage: explain_corpus [--out <dir>]");
                 return ExitCode::from(2);
             }
         }
@@ -42,7 +42,6 @@ fn run(args: Vec<String>, summary: &mut BenchSummary) -> ExitCode {
         return ExitCode::from(2);
     }
 
-    let phase_start = std::time::Instant::now();
     let mut failures = 0usize;
     let mut chains = 0usize;
     let corpus = ldx_workloads::corpus();
@@ -73,7 +72,6 @@ fn run(args: Vec<String>, summary: &mut BenchSummary) -> ExitCode {
             failures += 1;
         }
     }
-    summary.phase("explain-corpus", phase_start.elapsed());
     println!(
         "explained {total} workloads -> {out_dir}/ ({chains} causal chains, {failures} failures)"
     );

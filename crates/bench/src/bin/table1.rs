@@ -14,14 +14,14 @@
 //! Run: `cargo run -p ldx-bench --bin table1 [--trace t.json] [--metrics m.json]`
 
 use ldx::{BatchEngine, InstrumentCache};
-use ldx_bench::{bench_main, run_native_timed, BenchSummary};
+use ldx_bench::{bench_main, run_native_timed};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    bench_main("table1", run)
+    bench_main(run)
 }
 
-fn run(_args: Vec<String>, summary: &mut BenchSummary) {
+fn run(_args: Vec<String>) {
     println!(
         "{:<10} {:>5} {:>7} {:>7} {:>6} {:>6} {:>5} {:>6} {:>5} {:>8} {:>9} {:>6} {:>5} {:>6} {:>7} {:>6}",
         "program",
@@ -43,7 +43,6 @@ fn run(_args: Vec<String>, summary: &mut BenchSummary) {
     );
     let engine = BatchEngine::auto();
     let cache = InstrumentCache::new();
-    let phase_start = std::time::Instant::now();
     let rows = engine.map_ordered(ldx_workloads::corpus(), |w| {
         let compiled = cache.instrumented(&w.source).expect("workload compiles");
         let report = compiled.instrumented.report().clone();
@@ -84,7 +83,6 @@ fn run(_args: Vec<String>, summary: &mut BenchSummary) {
         );
         (line, orig, added)
     });
-    summary.phase("rows", phase_start.elapsed());
 
     let mut total_orig = 0usize;
     let mut total_added = 0usize;

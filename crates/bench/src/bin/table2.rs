@@ -29,15 +29,14 @@ fn verdict(leak: bool) -> &'static str {
     }
 }
 
-use ldx_bench::{bench_main, BenchSummary};
+use ldx_bench::bench_main;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    bench_main("table2", run)
+    bench_main(run)
 }
 
-fn run(_args: Vec<String>, summary: &mut BenchSummary) {
-    let phase_start = std::time::Instant::now();
+fn run(_args: Vec<String>) {
     println!(
         "{:<10} {:>6} {:>6} {:>9} {:>9} {:>12} {:>8}",
         "program", "ldx-1", "ldx-2", "tightlip1", "tightlip2", "sys-diffs", "diff%"
@@ -108,5 +107,4 @@ fn run(_args: Vec<String>, summary: &mut BenchSummary) {
          while TightLip reports O for both inputs whenever the mutation \
          perturbs the syscall stream (paper §8.2)."
     );
-    summary.phase("run", phase_start.elapsed());
 }

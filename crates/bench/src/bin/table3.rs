@@ -39,15 +39,14 @@ struct Row {
     dft: bool,
 }
 
-use ldx_bench::{bench_main, BenchSummary};
+use ldx_bench::bench_main;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    bench_main("table3", run)
+    bench_main(run)
 }
 
-fn run(_args: Vec<String>, summary: &mut BenchSummary) {
-    let phase_start = std::time::Instant::now();
+fn run(_args: Vec<String>) {
     println!(
         "{:<12} {:>5} {:>5} {:>5} | {:>9} {:>11} {:>8} {:>12}",
         "program", "ldx", "tg", "dft", "ldx-sinks", "tg-sinks", "dft-sinks", "total-sinks"
@@ -116,5 +115,4 @@ fn run(_args: Vec<String>, summary: &mut BenchSummary) {
         dft_cases as f64 * 100.0 / ldx_cases.max(1) as f64,
     );
     println!("paper: TAINTGRIND 31.47%, LIBDFT 20% of LDX's detected cases.");
-    summary.phase("run", phase_start.elapsed());
 }

@@ -15,16 +15,15 @@
 //! Run: `cargo run -p ldx-bench --bin table4 [runs]`
 
 use ldx::{BatchEngine, BatchJob, InstrumentCache};
-use ldx_bench::{bench_main, mean, stddev, BenchSummary};
+use ldx_bench::{bench_main, mean, stddev};
 use ldx_workloads::{by_suite, Suite};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    bench_main("table4", run)
+    bench_main(run)
 }
 
-fn run(args: Vec<String>, summary: &mut BenchSummary) {
-    let phase_start = std::time::Instant::now();
+fn run(args: Vec<String>) {
     let runs: usize = args
         .first()
         .and_then(|s| s.parse().ok())
@@ -82,5 +81,4 @@ fn run(args: Vec<String>, summary: &mut BenchSummary) {
          tainted-sink σ near 0 except where a racy statistic feeds the sink \
          (mtget/mtenc, mirroring the paper's axel/x264)."
     );
-    summary.phase("run", phase_start.elapsed());
 }

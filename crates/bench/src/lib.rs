@@ -15,7 +15,6 @@
 //! `benches/alignment.rs` times the alignment machinery in isolation
 //! (progress keys, the instrumentation pass, counter maintenance).
 
-use ldx::obs::json_string;
 use ldx_dualex::{dual_execute, DualReport, DualSpec};
 use ldx_ir::IrProgram;
 use ldx_runtime::{run_program, ExecConfig, NativeHooks, RunOutcome, Trap};
@@ -41,6 +40,23 @@ pub fn run_native_timed(
     let hooks = Arc::new(NativeHooks::new(vos));
     let program = Arc::clone(program);
     time_it(move || run_program(program, hooks, ExecConfig::default()))
+}
+
+/// Runs two native executions of `program` at once, one per thread, and
+/// times the pair. Given the instrumented program, this is the floor
+/// under a dual execution: the slowdown two independent executions
+/// already cause each other on this host, before any coupling.
+pub fn run_native_pair_timed(
+    program: &Arc<IrProgram>,
+    world: &VosConfig,
+) -> (Duration, [Result<RunOutcome, Trap>; 2]) {
+    time_it(|| {
+        std::thread::scope(|s| {
+            [(); 2]
+                .map(|()| s.spawn(|| run_native_timed(program, world).1))
+                .map(|run| run.join().expect("native run panicked"))
+        })
+    })
 }
 
 /// Runs a dual execution and times it.
@@ -194,135 +210,14 @@ pub fn perf_workloads() -> Vec<(Workload, VosConfig)> {
         .collect()
 }
 
-/// Formats a float as a JSON number (`null` for non-finite values, which
-/// JSON cannot represent).
-pub fn json_f64(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x:.6}")
-    } else {
-        "null".to_string()
-    }
-}
-
-/// A machine-readable run summary every bench binary can emit
-/// (`--summary [path]`, default `BENCH_<name>.json`): total wall-clock,
-/// per-phase nanoseconds, and the final metrics-counter snapshot.
-/// Validated by `scripts/check_bench_summary.py`, which also flags
-/// wall-clock regressions against `scripts/bench_baseline.json`.
-pub struct BenchSummary {
-    name: &'static str,
-    started: Instant,
-    phases: Vec<(String, Duration)>,
-    out: Option<String>,
-}
-
-impl BenchSummary {
-    /// Strips `--summary [path]` from `args` and builds the summary.
-    /// Without the flag, the summary is disabled and `finish` writes
-    /// nothing; with a bare `--summary`, the output path defaults
-    /// to `BENCH_<name>.json` in the working directory.
-    fn from_args(name: &'static str, args: Vec<String>) -> (Vec<String>, BenchSummary) {
-        let mut rest = Vec::with_capacity(args.len());
-        let mut out = None;
-        let mut it = args.into_iter().peekable();
-        while let Some(arg) = it.next() {
-            if arg == "--summary" {
-                out = Some(match it.peek() {
-                    Some(next) if !next.starts_with("--") && next.ends_with(".json") => {
-                        it.next().expect("peeked")
-                    }
-                    _ => format!("BENCH_{name}.json"),
-                });
-            } else {
-                rest.push(arg);
-            }
-        }
-        (
-            rest,
-            BenchSummary {
-                name,
-                started: Instant::now(),
-                phases: Vec::new(),
-                out,
-            },
-        )
-    }
-
-    /// Records a completed phase's duration.
-    pub fn phase(&mut self, label: impl Into<String>, dur: Duration) {
-        self.phases.push((label.into(), dur));
-    }
-
-    /// Times `f` and records it as a phase.
-    pub fn timed<T>(&mut self, label: impl Into<String>, f: impl FnOnce() -> T) -> T {
-        let (dur, out) = time_it(f);
-        self.phase(label, dur);
-        out
-    }
-
-    /// The summary as JSON (`schemas/bench_summary_schema.json`).
-    pub fn to_json(&self) -> String {
-        let mut phases = String::new();
-        for (label, dur) in &self.phases {
-            if !phases.is_empty() {
-                phases.push(',');
-            }
-            phases.push_str(&format!(
-                "\n    {{\"name\": {}, \"ns\": {}}}",
-                json_string(label),
-                dur.as_nanos()
-            ));
-        }
-        let mut counters = String::new();
-        for c in &ldx::obs::metrics_snapshot().counters {
-            if !counters.is_empty() {
-                counters.push(',');
-            }
-            counters.push_str(&format!("\n    {}: {}", json_string(c.name), c.value));
-        }
-        format!(
-            "{{\n  \"schema\": \"ldx-bench-summary-v1\",\n  \"name\": {},\n  \
-             \"wall_ns\": {},\n  \"phases\": [{phases}\n  ],\n  \
-             \"counters\": {{{counters}\n  }}\n}}\n",
-            json_string(self.name),
-            self.started.elapsed().as_nanos()
-        )
-    }
-
-    /// Writes the summary when `--summary` was requested; returns the
-    /// path written, if any.
-    ///
-    /// # Errors
-    ///
-    /// Returns the I/O error if the output file cannot be written.
-    fn finish(&self) -> std::io::Result<Option<&str>> {
-        match &self.out {
-            Some(path) => {
-                std::fs::write(path, self.to_json())?;
-                Ok(Some(path))
-            }
-            None => Ok(None),
-        }
-    }
-}
-
 /// The shared `main` of every bench binary. It strips `--trace` /
-/// `--metrics` and `--summary [path]` from the command line, runs `body`
-/// with the remaining arguments, then writes the summary and the
-/// observability outputs. A failed observability write exits with 2.
-pub fn bench_main<T: Termination>(
-    name: &'static str,
-    body: impl FnOnce(Vec<String>, &mut BenchSummary) -> T,
-) -> ExitCode {
+/// `--metrics` from the command line, runs `body` with the remaining
+/// arguments, then writes the observability outputs. A failed
+/// observability write exits with 2.
+pub fn bench_main<T: Termination>(body: impl FnOnce(Vec<String>) -> T) -> ExitCode {
     let (args, obs_args) = ldx::obs::parse_obs_args(std::env::args().skip(1).collect());
     ldx::obs::init(&obs_args);
-    let (args, mut summary) = BenchSummary::from_args(name, args);
-    let code = body(args, &mut summary).report();
-    match summary.finish() {
-        Ok(Some(path)) => println!("bench summary: {path}"),
-        Ok(None) => {}
-        Err(e) => eprintln!("could not write bench summary: {e}"),
-    }
+    let code = body(args).report();
     if let Err(e) = ldx::obs::finish(&obs_args) {
         eprintln!("could not write observability output: {e}");
         return ExitCode::from(2);
@@ -369,38 +264,13 @@ mod tests {
     }
 
     #[test]
-    fn summary_arg_parsing() {
-        let v = |args: &[&str]| args.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        let (rest, s) = BenchSummary::from_args("t", v(&["5", "--summary", "out.json"]));
-        assert_eq!(rest, v(&["5"]));
-        assert_eq!(s.out.as_deref(), Some("out.json"));
-        let (rest, s) = BenchSummary::from_args("t", v(&["--summary", "3"]));
-        assert_eq!(rest, v(&["3"]), "non-path operand stays an argument");
-        assert_eq!(s.out.as_deref(), Some("BENCH_t.json"));
-        let (_, s) = BenchSummary::from_args("t", v(&["5"]));
-        assert!(s.out.is_none());
-        assert!(s.finish().expect("disabled writes nothing").is_none());
-    }
-
-    #[test]
-    fn summary_json_has_phases_and_counters() {
-        let (_, mut s) = BenchSummary::from_args("demo", vec!["--summary".to_string()]);
-        let out: u32 = s.timed("warm", || 7);
-        assert_eq!(out, 7);
-        s.phase("measure", Duration::from_nanos(1234));
-        let json = s.to_json();
-        assert!(json.contains("\"schema\": \"ldx-bench-summary-v1\""));
-        assert!(json.contains("\"name\": \"demo\""));
-        assert!(json.contains("\"wall_ns\": "));
-        assert!(json.contains("{\"name\": \"warm\", \"ns\": "));
-        assert!(json.contains("{\"name\": \"measure\", \"ns\": 1234}"));
-        assert!(json.contains("\"counters\": {"));
-    }
-
-    #[test]
-    fn json_f64_nulls_non_finite_values() {
-        assert_eq!(json_f64(1.5), "1.500000");
-        assert_eq!(json_f64(f64::NAN), "null");
-        assert_eq!(json_f64(f64::INFINITY), "null");
+    fn native_pair_matches_a_single_run() {
+        let (w, world) = perf_workloads().remove(0);
+        let program = w.program();
+        let single = run_native_timed(&program, &world).1.expect("single run");
+        let (_, pair) = run_native_pair_timed(&program, &world);
+        for run in pair {
+            assert_eq!(run.expect("paired run"), single, "`{}`", w.name);
+        }
     }
 }

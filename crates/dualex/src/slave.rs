@@ -31,7 +31,6 @@ use ldx_runtime::{
 use ldx_vos::{SlaveVos, SysArg, SysRet};
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 /// Slave-side hooks.
@@ -97,16 +96,14 @@ impl SlaveHooks {
         match next {
             Next::Aligned(e) if e.site == ctx.site && e.sys == ctx.sys => {
                 if e.args == args {
-                    let decision = if is_sink {
-                        // Equal payloads: the sink's outcome is shared
-                        // too, which `Compared` alone does not imply.
-                        self.coupling.stats.shared.fetch_add(1, Ordering::Relaxed);
-                        Decision::Compared
-                    } else {
-                        Decision::Shared
-                    };
+                    if is_sink {
+                        // Equal payloads: the sink is compared, then its
+                        // outcome is shared like any aligned syscall's.
+                        self.coupling
+                            .note(Role::Slave, Decision::Compared, Call::at(ctx, true));
+                    }
                     self.coupling
-                        .note(Role::Slave, decision, Call::at(ctx, is_sink));
+                        .note(Role::Slave, Decision::Shared, Call::at(ctx, is_sink));
                     return Align::Shared(e.outcome);
                 }
                 // Same site, different arguments (Alg. 2 case 3).
@@ -132,9 +129,10 @@ impl SlaveHooks {
                         },
                     );
                 } else {
-                    // A non-sink argument mismatch has no flight event of
-                    // its own.
-                    self.coupling.stats.diffs.fetch_add(1, Ordering::Relaxed);
+                    // The slave skips the master's instance: a syscall
+                    // difference, like any unmatched master entry.
+                    self.coupling
+                        .note(Role::Slave, Decision::MasterOnly, Call::at(ctx, false));
                 }
                 Align::Decoupled
             }
@@ -456,11 +454,8 @@ impl SyscallHooks for SlaveHooks {
                         self.coupling.taint_lock(id);
                     }
                 } else {
-                    // Counted as decoupled, with no flight event of its own.
                     self.coupling
-                        .stats
-                        .decoupled
-                        .fetch_add(1, Ordering::Relaxed);
+                        .note(Role::Slave, Decision::Decoupled, Call::at(ctx, false));
                 }
                 self.locks.lock(id, &ctx.thread, &ctx.stop);
                 Ok(SysOutcome::Value(Value::Int(0)))
