@@ -79,7 +79,7 @@ pub use ldx_sdep as sdep;
 
 /// Re-export of the virtual OS types used to describe worlds.
 pub mod vos {
-    pub use ldx_vos::{PeerBehavior, SlaveVos, Vos, VosConfig, VosError};
+    pub use ldx_vos::{PeerBehavior, Vos, VosConfig, VosError};
 }
 
 /// Re-export of the frontend/IR layers for advanced users.

@@ -27,15 +27,14 @@
 //! signal or after `MAX_WAIT`.
 
 use crate::recorder::{
-    key_scalar, Decision, FlightEvent, FlightLog, FlightRecorder, ResourceId,
-    DEFAULT_FLIGHT_CAPACITY,
+    key_scalar, Decision, FlightEvent, FlightLog, FlightRecorder, DEFAULT_FLIGHT_CAPACITY,
 };
 use crate::report::{CausalityKind, CausalityRecord, Role};
 use ldx_ir::{FuncId, SiteId};
 use ldx_lang::Syscall;
 use ldx_runtime::{ProgressKey, ProgressOrder, StopSignal, SyscallCtx, ThreadKey, Value};
 use parking_lot::{Condvar, Mutex};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -291,10 +290,6 @@ pub(crate) struct Coupling {
     pairs: Mutex<Pairs>,
     pub records: Mutex<Vec<CausalityRecord>>,
     pub stats: CouplingStats,
-    /// Paths with diverged state (paper §7 resource tainting).
-    pub tainted_paths: Mutex<HashSet<String>>,
-    /// Lock ids with diverged synchronization (paper §7).
-    pub tainted_locks: Mutex<HashSet<i64>>,
     /// The divergence flight recorder (`None` when recording is off — the
     /// disabled probe is a single discriminant check, no atomics).
     pub recorder: Option<FlightRecorder>,
@@ -307,8 +302,6 @@ impl Coupling {
             pairs: Mutex::new(Pairs::default()),
             records: Mutex::new(Vec::new()),
             stats: CouplingStats::default(),
-            tainted_paths: Mutex::new(HashSet::new()),
-            tainted_locks: Mutex::new(HashSet::new()),
             recorder: record.then(|| FlightRecorder::new(DEFAULT_FLIGHT_CAPACITY)),
         }
     }
@@ -413,40 +406,6 @@ impl Coupling {
         self.records.lock().push(record);
     }
 
-    /// Marks a filesystem path as tainted, recording the first divergence
-    /// on each path as a flight event (in the slave lane: only the slave's
-    /// decoupled execution taints).
-    pub fn taint_path(&self, path: &str) {
-        let normalized = ldx_vos::normalize_path(path).join("/");
-        let first = self.tainted_paths.lock().insert(normalized.clone());
-        if first {
-            self.flight(Role::Slave, || FlightEvent::Taint {
-                resource: ResourceId::Path(normalized),
-            });
-        }
-    }
-
-    /// Marks a lock id as tainted (grant order diverged), recording the
-    /// first divergence as a flight event.
-    pub fn taint_lock(&self, id: i64) {
-        let first = self.tainted_locks.lock().insert(id);
-        if first {
-            self.flight(Role::Slave, || FlightEvent::Taint {
-                resource: ResourceId::Lock(id),
-            });
-        }
-    }
-
-    /// Whether a path is tainted.
-    pub fn path_tainted(&self, path: &str) -> bool {
-        self.segments_tainted(&ldx_vos::normalize_path(path))
-    }
-
-    /// Whether a path, given as normalised segments, is tainted.
-    pub fn segments_tainted(&self, segs: &[String]) -> bool {
-        self.tainted_paths.lock().contains(&segs.join("/"))
-    }
-
     /// Drains every unconsumed master entry at the end of the run:
     /// master-only syscall differences, including master-only sinks.
     /// Pairs are drained in `ThreadKey` order so records and flight
@@ -530,15 +489,6 @@ mod tests {
         assert!(!p.with_ready(Role::Master, is_top));
         c.finish_execution(Role::Master);
         assert!(p.with_ready(Role::Master, is_top));
-    }
-
-    #[test]
-    fn taint_normalizes_paths() {
-        let c = Coupling::new(false);
-        c.taint_path("/a//b/");
-        assert!(c.path_tainted("a/b"));
-        assert!(c.segments_tainted(&["a".to_string(), "b".to_string()]));
-        assert!(!c.path_tainted("/a"));
     }
 
     #[test]

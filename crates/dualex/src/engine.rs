@@ -2,6 +2,7 @@
 
 use crate::couple::Coupling;
 use crate::master::MasterHooks;
+use crate::overlay::Overlay;
 use crate::report::{CausalityKind, CausalityRecord, DualReport, Role};
 use crate::resolved::{ResolvedSinks, ResolvedSources};
 use crate::slave::SlaveHooks;
@@ -9,7 +10,7 @@ use crate::spec::DualSpec;
 use ldx_ir::{FuncId, IrProgram, SiteId};
 use ldx_lang::Syscall;
 use ldx_runtime::{run_program, LockTable, ProgressKey, RunOutcome, SyscallHooks, ThreadKey, Trap};
-use ldx_vos::{SlaveVos, Vos, VosConfig};
+use ldx_vos::{Vos, VosConfig};
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::Ordering;
@@ -26,14 +27,14 @@ use std::sync::Arc;
 /// # Reentrancy
 ///
 /// This entry point is **reentrant and `Send`-safe**: every piece of
-/// coupling state — the `Coupling` channel, both worlds, lock tables,
-/// fd maps — is allocated per call and shared only between the two
-/// threads this call spawns. There are no `static`s or thread-locals
-/// anywhere in the engine (audited: `couple.rs`, `master.rs`,
-/// `slave.rs`, `fdmap.rs`), so any number of `dual_execute` calls may
-/// run concurrently from different threads — the contract the batch
-/// scheduler in `ldx::batch` relies on. Each call uses **two** OS
-/// threads; schedulers should budget accordingly.
+/// coupling state — the `Coupling` channel, the master's world, lock
+/// tables, the slave's overlay — is allocated per call and shared only
+/// between the two threads this call spawns. There are no `static`s or
+/// thread-locals anywhere in the engine (audited: `couple.rs`,
+/// `master.rs`, `slave.rs`, `overlay.rs`), so any number of
+/// `dual_execute` calls may run concurrently from different threads —
+/// the contract the batch scheduler in `ldx::batch` relies on. Each call
+/// uses **two** OS threads; schedulers should budget accordingly.
 pub fn dual_execute(program: Arc<IrProgram>, config: &VosConfig, spec: &DualSpec) -> DualReport {
     // Compile-time audit that the inputs cross thread boundaries safely
     // (the scoped spawns below require it, but spell the contract out).
@@ -60,11 +61,10 @@ fn dual_execute_inner(program: Arc<IrProgram>, config: &VosConfig, spec: &DualSp
     });
     let slave_hooks: Arc<dyn SyscallHooks> = Arc::new(SlaveHooks {
         coupling: Arc::clone(&coupling),
-        overlay: SlaveVos::new(Arc::clone(&master_vos), config),
+        overlay: Overlay::new(Arc::clone(&master_vos), config),
         locks: LockTable::new(),
         sinks,
         sources,
-        fdmap: Mutex::new(Default::default()),
         decoupled_threads: Mutex::new(HashSet::new()),
         spawn_counts: Mutex::new(HashMap::new()),
     });

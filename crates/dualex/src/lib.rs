@@ -51,9 +51,9 @@
 
 mod couple;
 mod engine;
-mod fdmap;
 mod master;
 mod mutation;
+mod overlay;
 mod recorder;
 mod report;
 mod resolved;

@@ -18,17 +18,16 @@
 //! counterfactual perturbation enters the slave).
 
 use crate::couple::{master_delta, Call, Coupling, Next};
-use crate::fdmap::{FdInfo, Resource, SlaveFdMap};
 use crate::mutation::Mutation;
-use crate::recorder::{excerpt, ByteDiff, Decision, FlightEvent, ResourceId};
+use crate::overlay::Overlay;
+use crate::recorder::{excerpt, ByteDiff, Decision, FlightEvent};
 use crate::report::{CausalityKind, CausalityRecord, Role};
 use crate::resolved::{fd_arg, ResolvedSinks, ResolvedSources};
 use ldx_lang::Syscall;
 use ldx_runtime::{
-    from_sys_ret, to_sys_args, LockTable, ProgressKey, StopSignal, SysOutcome, SyscallCtx,
-    SyscallHooks, ThreadKey, Trap, Value,
+    LockTable, ProgressKey, StopSignal, SysOutcome, SyscallCtx, SyscallHooks, ThreadKey, Trap,
+    Value,
 };
-use ldx_vos::{SlaveVos, SysArg, SysRet};
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -36,11 +35,10 @@ use std::sync::Arc;
 /// Slave-side hooks.
 pub(crate) struct SlaveHooks {
     pub coupling: Arc<Coupling>,
-    pub overlay: SlaveVos,
+    pub overlay: Overlay,
     pub locks: LockTable,
     pub sinks: ResolvedSinks,
     pub sources: ResolvedSources,
-    pub fdmap: Mutex<SlaveFdMap>,
     pub decoupled_threads: Mutex<HashSet<ThreadKey>>,
     pub spawn_counts: Mutex<HashMap<ThreadKey, u32>>,
 }
@@ -163,148 +161,13 @@ impl SlaveHooks {
 
     /// Mutation of the first configured source the syscall matches.
     fn source_mutation(&self, ctx: &SyscallCtx, args: &[Value]) -> Option<Mutation> {
-        let fdmap = self.fdmap.lock();
-        let resource = fd_arg(args)
-            .and_then(|fd| fdmap.get(fd))
-            .map(|i| i.resource.view());
-        let (_, mutation) = self
-            .sources
-            .matching(ctx.func, ctx.site, ctx.sys, resource)
-            .next()?;
-        Some(mutation.clone())
-    }
-
-    /// Whether the syscall references a tainted resource.
-    fn touches_tainted(&self, sys: Syscall, args: &[Value]) -> bool {
-        for path in Self::paths_in(sys, args) {
-            if self.coupling.path_tainted(&path) {
-                return true;
-            }
-        }
-        if let Some(Value::Int(fd)) = args.first() {
-            if matches!(
-                sys,
-                Syscall::Read | Syscall::Write | Syscall::Seek | Syscall::Close
-            ) {
-                if let Some(FdInfo {
-                    resource: Resource::File { path, .. },
-                    ..
-                }) = self.fdmap.lock().get(*fd)
-                {
-                    return self.coupling.segments_tainted(path);
-                }
-            }
-        }
-        false
-    }
-
-    fn paths_in(sys: Syscall, args: &[Value]) -> Vec<String> {
-        let mut out = Vec::new();
-        let grab = |i: usize, out: &mut Vec<String>| {
-            if let Some(Value::Str(s)) = args.get(i) {
-                out.push(s.to_string());
-            }
-        };
-        match sys {
-            Syscall::Open | Syscall::Stat | Syscall::Mkdir | Syscall::Unlink | Syscall::Readdir => {
-                grab(0, &mut out)
-            }
-            Syscall::Rename => {
-                grab(0, &mut out);
-                grab(1, &mut out);
-            }
-            _ => {}
-        }
-        out
-    }
-
-    /// Reconstructs (or retrieves) the overlay descriptor for a program
-    /// descriptor whose resource was created while coupled (paper §4.2:
-    /// clone, open, seek).
-    fn ensure_overlay_fd(&self, fdmap: &mut SlaveFdMap, fd: i64) -> Option<i64> {
-        let info = fdmap.get(fd)?.clone();
-        if let Some(ofd) = info.overlay_fd {
-            return Some(ofd);
-        }
-        let ofd = match &info.resource {
-            Resource::File { path, flags } => {
-                let path = path.join("/");
-                self.coupling.taint_path(&path);
-                self.coupling.flight(Role::Slave, || FlightEvent::CowClone {
-                    resource: ResourceId::Path(path.clone()),
-                    pos: info.pos as u64,
-                });
-                let mode = if *flags == 0 { 0 } else { 2 };
-                let SysRet::Int(ofd) = self
-                    .overlay
-                    .syscall(Syscall::Open, &[SysArg::Str(path), SysArg::Int(mode)])
-                    .ok()?
-                else {
-                    return None;
-                };
-                if ofd < 0 {
-                    return None;
-                }
-                if *flags == 0 && info.pos > 0 {
-                    let _ = self.overlay.syscall(
-                        Syscall::Seek,
-                        &[SysArg::Int(ofd), SysArg::Int(info.pos as i64)],
-                    );
-                }
-                ofd
-            }
-            Resource::Peer { host } => {
-                self.coupling.flight(Role::Slave, || FlightEvent::CowClone {
-                    resource: ResourceId::Peer(host.clone()),
-                    pos: info.pos as u64,
-                });
-                let SysRet::Int(ofd) = self
-                    .overlay
-                    .syscall(Syscall::Connect, &[SysArg::Str(host.clone())])
-                    .ok()?
-                else {
-                    return None;
-                };
-                if ofd < 0 {
-                    return None;
-                }
-                ofd
-            }
-            Resource::Client { port, index } => {
-                self.coupling.flight(Role::Slave, || FlightEvent::CowClone {
-                    resource: ResourceId::Client(*port),
-                    pos: info.pos as u64,
-                });
-                // Replay accepts up to this client's index, then skip the
-                // characters already consumed while coupled.
-                let mut ofd = -1;
-                while fdmap.overlay_accepts <= *index {
-                    let SysRet::Int(got) = self
-                        .overlay
-                        .syscall(Syscall::Accept, &[SysArg::Int(*port)])
-                        .ok()?
-                    else {
-                        return None;
-                    };
-                    fdmap.overlay_accepts += 1;
-                    ofd = got;
-                }
-                if ofd < 0 {
-                    return None;
-                }
-                if info.pos > 0 {
-                    let _ = self.overlay.syscall(
-                        Syscall::Recv,
-                        &[SysArg::Int(ofd), SysArg::Int(info.pos as i64)],
-                    );
-                }
-                ofd
-            }
-        };
-        if let Some(slot) = fdmap.get_mut(fd) {
-            slot.overlay_fd = Some(ofd);
-        }
-        Some(ofd)
+        self.overlay.with_resource(fd_arg(args), |resource| {
+            let (_, mutation) = self
+                .sources
+                .matching(ctx.func, ctx.site, ctx.sys, resource)
+                .next()?;
+            Some(mutation.clone())
+        })
     }
 
     /// Executes a syscall against the private overlay world.
@@ -316,123 +179,7 @@ impl SlaveHooks {
     ) -> Result<Value, Trap> {
         self.coupling
             .note(Role::Slave, Decision::Decoupled, Call::at(ctx, is_sink));
-        let mut fdmap = self.fdmap.lock();
-        let sys = ctx.sys;
-        match sys {
-            Syscall::Open => {
-                let path = args[0].as_str()?.to_string();
-                let flags = args[1].as_int()?;
-                self.coupling.taint_path(&path);
-                let ret = self.overlay.syscall(sys, &to_sys_args(args)?)?;
-                if let SysRet::Int(fd) = &ret {
-                    fdmap.on_open(*fd, &path, flags);
-                    if let Some(info) = fdmap.get_mut(*fd) {
-                        info.overlay_fd = Some(*fd);
-                    }
-                }
-                Ok(from_sys_ret(ret))
-            }
-            Syscall::Connect => {
-                let host = args[0].as_str()?.to_string();
-                let ret = self.overlay.syscall(sys, &to_sys_args(args)?)?;
-                if let SysRet::Int(fd) = &ret {
-                    fdmap.on_connect(*fd, &host);
-                    if let Some(info) = fdmap.get_mut(*fd) {
-                        info.overlay_fd = Some(*fd);
-                    }
-                }
-                Ok(from_sys_ret(ret))
-            }
-            Syscall::Accept => {
-                let port = args[0].as_int()?;
-                // Catch up the overlay backlog to the coupled position.
-                while fdmap.overlay_accepts < fdmap.accept_count {
-                    let _ = self.overlay.syscall(sys, &to_sys_args(args)?);
-                    fdmap.overlay_accepts += 1;
-                }
-                let ret = self.overlay.syscall(sys, &to_sys_args(args)?)?;
-                fdmap.overlay_accepts += 1;
-                if let SysRet::Int(fd) = &ret {
-                    fdmap.on_accept(*fd, port);
-                    if let Some(info) = fdmap.get_mut(*fd) {
-                        info.overlay_fd = Some(*fd);
-                    }
-                }
-                Ok(from_sys_ret(ret))
-            }
-            Syscall::Read | Syscall::Recv => {
-                let fd = args[0].as_int()?;
-                if (0..=2).contains(&fd) {
-                    return Ok(Value::str(""));
-                }
-                let Some(ofd) = self.ensure_overlay_fd(&mut fdmap, fd) else {
-                    return Ok(Value::str(""));
-                };
-                let n = args[1].as_int()?;
-                let ret = self
-                    .overlay
-                    .syscall(sys, &[SysArg::Int(ofd), SysArg::Int(n)])?;
-                if let SysRet::Str(s) = &ret {
-                    fdmap.on_read(fd, s.chars().count());
-                }
-                Ok(from_sys_ret(ret))
-            }
-            Syscall::Write | Syscall::Send => {
-                let fd = args[0].as_int()?;
-                let data = args[1].as_str()?;
-                if (0..=2).contains(&fd) {
-                    let ret = self.overlay.syscall(sys, &to_sys_args(args)?)?;
-                    return Ok(from_sys_ret(ret));
-                }
-                let Some(ofd) = self.ensure_overlay_fd(&mut fdmap, fd) else {
-                    return Ok(Value::Int(-1));
-                };
-                let ret = self
-                    .overlay
-                    .syscall(sys, &[SysArg::Int(ofd), SysArg::Str(data.to_string())])?;
-                Ok(from_sys_ret(ret))
-            }
-            Syscall::Seek => {
-                let fd = args[0].as_int()?;
-                let pos = args[1].as_int()?;
-                fdmap.on_seek(fd, pos);
-                if let Some(ofd) = fdmap.get(fd).and_then(|i| i.overlay_fd) {
-                    let _ = self
-                        .overlay
-                        .syscall(sys, &[SysArg::Int(ofd), SysArg::Int(pos)]);
-                }
-                Ok(Value::Int(0))
-            }
-            Syscall::Close => {
-                let fd = args[0].as_int()?;
-                if let Some(info) = fdmap.on_close(fd) {
-                    if let Some(ofd) = info.overlay_fd {
-                        let _ = self.overlay.syscall(sys, &[SysArg::Int(ofd)]);
-                    }
-                    Ok(Value::Int(0))
-                } else {
-                    Ok(Value::Int(-1))
-                }
-            }
-            Syscall::Stat
-            | Syscall::Mkdir
-            | Syscall::Unlink
-            | Syscall::Readdir
-            | Syscall::Rename => {
-                for p in Self::paths_in(sys, args) {
-                    self.coupling.taint_path(&p);
-                }
-                Ok(from_sys_ret(
-                    self.overlay.syscall(sys, &to_sys_args(args)?)?,
-                ))
-            }
-            Syscall::GetPid | Syscall::Time | Syscall::Random | Syscall::Sleep => Ok(from_sys_ret(
-                self.overlay.syscall(sys, &to_sys_args(args)?)?,
-            )),
-            other => Err(Trap::Aborted {
-                reason: format!("decoupled execution of unexpected syscall `{other}`"),
-            }),
-        }
+        self.overlay.exec(&self.coupling, ctx.sys, args)
     }
 }
 
@@ -446,12 +193,11 @@ impl SyscallHooks for SlaveHooks {
         match ctx.sys {
             Syscall::Lock => {
                 let id = args[0].as_int()?;
-                let tainted = self.coupling.tainted_locks.lock().contains(&id);
-                if !tainted && !self.thread_decoupled(&ctx.thread) {
+                if !self.overlay.lock_tainted(id) && !self.thread_decoupled(&ctx.thread) {
                     // Share the master's grant order: wait for the aligned
                     // lock entry before acquiring our own lock (paper §7).
                     if matches!(self.align(ctx, args, false), Align::Decoupled) {
-                        self.coupling.taint_lock(id);
+                        self.overlay.taint_lock(&self.coupling, id);
                     }
                 } else {
                     self.coupling
@@ -462,12 +208,11 @@ impl SyscallHooks for SlaveHooks {
             }
             Syscall::Unlock => {
                 let id = args[0].as_int()?;
-                let tainted = self.coupling.tainted_locks.lock().contains(&id);
-                if !tainted
+                if !self.overlay.lock_tainted(id)
                     && !self.thread_decoupled(&ctx.thread)
                     && matches!(self.align(ctx, args, false), Align::Decoupled)
                 {
-                    self.coupling.taint_lock(id);
+                    self.overlay.taint_lock(&self.coupling, id);
                 }
                 self.locks.unlock(id);
                 Ok(SysOutcome::Value(Value::Int(0)))
@@ -498,7 +243,7 @@ impl SyscallHooks for SlaveHooks {
                 if !self.thread_decoupled(&ctx.thread) {
                     let _ = self.align(ctx, args, is_sink);
                 } else if is_sink {
-                    self.record_sink(ctx, CausalityKind::SlaveOnlySink);
+                    self.slave_only_sink(ctx);
                 }
                 Ok(SysOutcome::DoLocal)
             }
@@ -506,57 +251,14 @@ impl SyscallHooks for SlaveHooks {
                 let is_sink = self.sinks.is_sink(ctx.func, ctx.site, sys, fd_arg(args));
                 let alignment = if self.thread_decoupled(&ctx.thread) {
                     if is_sink {
-                        self.record_sink(ctx, CausalityKind::SlaveOnlySink);
+                        self.slave_only_sink(ctx);
                     }
                     Align::Decoupled
                 } else {
                     self.align(ctx, args, is_sink)
                 };
-                let tainted = self.touches_tainted(sys, args);
                 let mut outcome = match alignment {
-                    Align::Shared(v) if !tainted => {
-                        // Observe shared outcomes so the descriptor shadow
-                        // stays accurate.
-                        let mut fdmap = self.fdmap.lock();
-                        match (sys, args.first(), &v) {
-                            (Syscall::Open, Some(Value::Str(p)), Value::Int(fd)) => {
-                                let flags = args[1].as_int().unwrap_or(0);
-                                fdmap.on_open(*fd, p, flags);
-                            }
-                            (Syscall::Connect, Some(Value::Str(h)), Value::Int(fd)) => {
-                                fdmap.on_connect(*fd, h);
-                            }
-                            (Syscall::Accept, Some(Value::Int(port)), Value::Int(fd)) => {
-                                fdmap.on_accept(*fd, *port);
-                            }
-                            (
-                                Syscall::Read | Syscall::Recv,
-                                Some(Value::Int(fd)),
-                                Value::Str(s),
-                            ) => {
-                                fdmap.on_read(*fd, s.chars().count());
-                            }
-                            (Syscall::Seek, Some(Value::Int(fd)), _) => {
-                                if let Ok(p) = args[1].as_int() {
-                                    fdmap.on_seek(*fd, p);
-                                }
-                            }
-                            (Syscall::Close, Some(Value::Int(fd)), _) => {
-                                if let Some(info) = fdmap.on_close(*fd) {
-                                    if let Some(ofd) = info.overlay_fd {
-                                        drop(fdmap);
-                                        let _ = self
-                                            .overlay
-                                            .syscall(Syscall::Close, &[SysArg::Int(ofd)]);
-                                        fdmap = self.fdmap.lock();
-                                    }
-                                }
-                            }
-                            _ => {}
-                        }
-                        drop(fdmap);
-                        v
-                    }
+                    Align::Shared(v) if self.overlay.share(sys, args, &v) => v,
                     // Aligned but on a tainted resource: consume the entry
                     // (done in align) yet execute privately (paper §7:
                     // "future syscalls on the resource cannot be coupled").

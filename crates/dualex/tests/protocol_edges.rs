@@ -2,7 +2,7 @@
 //! divergence, resource tainting, enforcement mode, and thread asymmetry.
 
 use ldx_dualex::{
-    dual_execute, CausalityKind, DualSpec, Mutation, SinkSpec, SourceMatcher, SourceSpec,
+    dual_execute, CausalityKind, DualSpec, Mutation, Role, SinkSpec, SourceMatcher, SourceSpec,
 };
 use ldx_vos::{PeerBehavior, VosConfig};
 use std::sync::Arc;
@@ -187,6 +187,46 @@ fn renamed_file_is_tainted_and_decoupled() {
 }
 
 #[test]
+fn aligned_read_on_a_privately_rewritten_file_runs_privately() {
+    // The descriptor is opened and partly read while coupled; the slave
+    // then rewrites the file on a source-dependent path. The later read
+    // on the old descriptor aligns with the master's, but its file is
+    // tainted: the slave must read its own copy from the coupled position.
+    let program = build(
+        r#"fn main() {
+            let fd = open("/f", 0);
+            let head = read(fd, 2);
+            let mode = trim(read(open("/in", 0), 8));
+            if (mode == "rewrite") {
+                let w = open("/f", 1);
+                write(w, "ZZZZZZ");
+                close(w);
+            }
+            let tail = read(fd, 4);
+            send(connect("out"), head + tail);
+        }"#,
+    );
+    let world = VosConfig::new()
+        .file("/f", "abcdef")
+        .file("/in", "keep")
+        .peer("out", PeerBehavior::Echo);
+    let spec = spec_file(
+        "/in",
+        Mutation::Replace("rewrite".into()),
+        SinkSpec::NetworkOut,
+    );
+    let report = dual_execute(program, &world, &spec);
+    assert!(report.master.is_ok() && report.slave.is_ok());
+    let arg_diff = report.causality.iter().find_map(|c| match &c.kind {
+        CausalityKind::ArgDiff { master, slave } => Some((master.clone(), slave.clone())),
+        _ => None,
+    });
+    let (m, s) = arg_diff.expect("the send aligns with different payloads");
+    assert!(m.contains("abcdef"), "master: {m}");
+    assert!(s.contains("abZZZZ"), "slave: {s}");
+}
+
+#[test]
 fn slave_only_threads_run_decoupled() {
     // The mutated input makes the slave spawn an extra worker; its
     // syscalls must not confuse the coupling, and its sink output is
@@ -211,21 +251,29 @@ fn slave_only_threads_run_decoupled() {
     let world = VosConfig::new()
         .file("/in", "5")
         .peer("out", PeerBehavior::Echo);
-    let report = dual_execute(
-        program,
-        &world,
-        &spec_file("/in", Mutation::OffByOne, SinkSpec::NetworkOut),
-    );
+    let mut spec = spec_file("/in", Mutation::OffByOne, SinkSpec::NetworkOut);
+    spec.record = true;
+    let report = dual_execute(program, &world, &spec);
     assert!(report.master.is_ok(), "{:?}", report.master);
     assert!(report.slave.is_ok(), "{:?}", report.slave);
+    let records = report
+        .causality
+        .iter()
+        .filter(|c| matches!(c.kind, CausalityKind::SlaveOnlySink))
+        .count();
     assert!(
-        report
-            .causality
-            .iter()
-            .any(|c| matches!(c.kind, CausalityKind::SlaveOnlySink)),
+        records > 0,
         "the slave-only worker's send is causality: {:?}",
         report.causality
     );
+    // Every slave-only sink record has its flight event.
+    let events = report
+        .flight
+        .lane(Role::Slave)
+        .iter()
+        .filter(|e| e.kind() == "slave-only")
+        .count();
+    assert_eq!(records, events);
 }
 
 #[test]

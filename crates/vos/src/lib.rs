@@ -12,11 +12,7 @@
 //!   connections;
 //! * a **virtual clock**, **PID**, and deterministic **entropy** — the
 //!   nondeterministic inputs whose outcomes the slave reuses from the
-//!   master (like `rdtsc` in the paper);
-//! * a **copy-on-divergence overlay** ([`SlaveVos`]): when the dual
-//!   executions diverge, the slave performs its decoupled syscalls against
-//!   clones of the affected resources so it never interferes with the
-//!   master's world (paper §7 "Light-weight Resource Tainting").
+//!   master (like `rdtsc` in the paper).
 //!
 //! The crate deliberately knows nothing about dual execution itself; it
 //! only provides interceptable syscalls with recordable outcomes. The
@@ -26,13 +22,11 @@ mod config;
 mod error;
 mod fs;
 mod net;
-mod overlay;
 mod state;
 mod world;
 
 pub use config::{PeerBehavior, VosConfig};
 pub use error::VosError;
 pub use fs::{normalize_path, Node};
-pub use overlay::SlaveVos;
 pub use state::{SysArg, SysRet, VosState};
 pub use world::Vos;
