@@ -5,11 +5,12 @@
 //! triples — and runs them concurrently on a pool of OS threads. Three
 //! properties drive the design:
 //!
-//! * **Bounded fan-out.** Every dual execution internally spawns a
-//!   master and a slave interpreter thread, so the pool is capped at
-//!   `min(requested, available_parallelism() / 2)` workers — two OS
-//!   threads per in-flight job — and never oversubscribes the host even
-//!   when callers request huge pools.
+//! * **Bounded fan-out.** Every dual execution runs its master on the
+//!   worker's own thread and spawns one slave interpreter thread, so the
+//!   pool is capped at `min(requested, available_parallelism() / 2)`
+//!   workers — two OS threads per in-flight job, the worker plus the
+//!   slave — and never oversubscribes the host even when callers request
+//!   huge pools.
 //! * **A shared job cursor.** Workers claim the next unstarted job with
 //!   one atomic `fetch_add` on a shared index, so a worker that finishes
 //!   early simply claims the next job. Long-tailed jobs (e.g. `minhmm`

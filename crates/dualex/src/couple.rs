@@ -1,23 +1,60 @@
 //! Shared coupling state between the master and slave executions.
 //!
 //! This is the runtime realization of paper §4.2 (Alg. 2): per thread
-//! pair, the master appends its syscall outcomes to a queue and publishes
-//! a *ready* progress key; the slave consumes aligned outcomes, skips (and
+//! pair, the master appends its syscall outcomes to an outcome log and
+//! publishes its progress; the slave consumes aligned outcomes, skips (and
 //! counts) master-only entries, and decouples when no alignment can
 //! exist. Both sides publish their progress at loop backedges (§5).
 //!
-//! This module is the only one that knows how a pair is locked. The hooks
-//! in `master.rs` and `slave.rs` keep the Alg. 2 decisions and talk to a
-//! [`Pair`] through a small API:
+//! This module is the only one that knows how a pair synchronizes. The
+//! hooks in `master.rs` and `slave.rs` keep the Alg. 2 decisions and talk
+//! to a [`Pair`] through a small API:
 //!
-//! * [`Pair::push`] — the master enqueues an outcome and publishes its key;
+//! * [`Pair::push`] — the master appends an outcome, which is also its
+//!   progress;
 //! * [`Pair::publish`] / [`Pair::finish`] — a role's progress, or its end;
 //! * [`Pair::with_ready`] — a peek at a role's progress (flight-event and
 //!   stall deltas);
 //! * [`Pair::wait_past`] — the master's enforcement-mode lockstep;
 //! * [`Pair::next_for_slave`] — the slave's alignment: skips behind
-//!   entries, takes an equal one, leaves an ahead one queued;
+//!   entries, takes an equal one, leaves an ahead one unconsumed;
 //! * [`Pair::drain`] — end-of-run leftovers, via [`Coupling::reconcile`].
+//!
+//! # The outcome log
+//!
+//! Each pair owns an append-only log with one writer, the pair's master
+//! thread. An item is a syscall [`Entry`] or a progress key the master
+//! published at a loop barrier, so the master's progress is the key of its
+//! last item. Items live in fixed-size segments: the master fills a slot,
+//! then publishes the log length. The slave reads up to that length with a
+//! private cursor. It compares entries in place, clones only an aligned
+//! outcome (`Value` payloads are `Arc`s, so that is a reference count),
+//! and never frees an entry: the master does (see below). On this path
+//! the two roles share no lock.
+//!
+//! # The wake rule
+//!
+//! A role parks only after announcing it. The slave sets its parked flag
+//! under the pair's park mutex and re-reads the log before it sleeps; the
+//! master stores the log length, then claims the flag (a swap to false).
+//! All four accesses are `SeqCst`, so either the slave sees the new item
+//! or the master claims the flag and wakes it, taking the park mutex so
+//! the wake cannot fall between the slave's re-check and its sleep. A
+//! publish with nobody parked takes no lock and makes no futex call, and a
+//! park is woken once, not once per publish. The slave's progress lives
+//! under the park mutex itself, where the master's enforcement-mode wait
+//! registers, so that direction needs no flag protocol. A park lasts at
+//! most a 2 ms slice before the waiter polls again: the slices, the stop
+//! signal and `MAX_WAIT` are safety valves only.
+//!
+//! # Reclamation
+//!
+//! The slave publishes the start of the segment its cursor is in. When the
+//! master starts a new segment it frees every segment wholly before that
+//! one, so frees stay on the allocating thread and, while the master
+//! appends, a pair holds at most the slave's lag plus two segments.
+//! Segments the slave passes after the master's last append stay until
+//! the pair is dropped.
 //!
 //! **The top key means finished.** A finished thread (or a whole finished
 //! execution, for pairs created after it) publishes
@@ -33,18 +70,26 @@ use crate::report::{CausalityKind, CausalityRecord, Role};
 use ldx_ir::{FuncId, SiteId};
 use ldx_lang::Syscall;
 use ldx_runtime::{ProgressKey, ProgressOrder, StopSignal, SyscallCtx, ThreadKey, Value};
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::ops::Deref;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// How long any coupling wait may block before giving up (safety valve;
 /// orders of magnitude above any legitimate wait in the test suite).
 const MAX_WAIT: Duration = Duration::from_secs(30);
 
-/// One master syscall outcome, queued for the slave.
-#[derive(Debug, Clone)]
+/// The longest single park before a waiter polls again (safety valve for
+/// the stop signal, which wakes nobody).
+const SLICE: Duration = Duration::from_millis(2);
+
+/// Log slots per segment.
+const SEGMENT: u64 = 64;
+
+/// One master syscall outcome, logged for the slave.
+#[derive(Debug)]
 pub(crate) struct Entry {
     pub key: ProgressKey,
     pub func: FuncId,
@@ -55,166 +100,463 @@ pub(crate) struct Entry {
     pub is_sink: bool,
 }
 
-/// Mutable pair state (one per Lx thread pair).
-#[derive(Debug, Default)]
-struct PairInner {
-    master_ready: Option<ProgressKey>,
-    slave_ready: Option<ProgressKey>,
-    queue: VecDeque<Entry>,
+/// One log item.
+#[derive(Debug)]
+enum Item {
+    /// A master syscall outcome.
+    Call(Entry),
+    /// The master's progress at a loop barrier.
+    Progress(ProgressKey),
 }
 
-impl PairInner {
-    fn ready(&self, role: Role) -> Option<&ProgressKey> {
-        match role {
-            Role::Master => self.master_ready.as_ref(),
-            Role::Slave => self.slave_ready.as_ref(),
+impl Item {
+    fn key(&self) -> &ProgressKey {
+        match self {
+            Item::Call(e) => &e.key,
+            Item::Progress(k) => k,
+        }
+    }
+}
+
+/// `SEGMENT` consecutive log slots, each written once by the master.
+#[derive(Debug)]
+struct Segment {
+    /// Log index of the first slot.
+    start: u64,
+    slots: Box<[OnceLock<Item>]>,
+    /// The following segment, linked before any of its items is published.
+    next: OnceLock<Arc<Segment>>,
+}
+
+impl Segment {
+    fn new(start: u64) -> Self {
+        Segment {
+            start,
+            slots: (0..SEGMENT).map(|_| OnceLock::new()).collect(),
+            next: OnceLock::new(),
         }
     }
 
-    /// Whether `role` has published progress not behind `key` (a finished
-    /// role's top key is past every key).
-    fn past(&self, role: Role, key: &ProgressKey) -> bool {
-        self.ready(role)
-            .is_some_and(|r| r.cmp_progress(key) != ProgressOrder::Behind)
+    fn end(&self) -> u64 {
+        self.start + SEGMENT
+    }
+
+    /// The published item at log index `i`.
+    fn item(&self, i: u64) -> &Item {
+        self.slots[(i - self.start) as usize]
+            .get()
+            .expect("items are read only below the published length")
     }
 }
 
+/// The slave's end of a pair's log.
+#[derive(Debug)]
+struct Reader {
+    /// The segment of the last consumed item (the first segment before
+    /// any): it steps forward only when the cursor needs the next one.
+    seg: Arc<Segment>,
+    /// Items before the cursor are consumed.
+    cursor: u64,
+}
+
+impl Reader {
+    /// The item at the cursor, stepping into the next segment (and
+    /// publishing the step in `released`) when the cursor has left this
+    /// one. The item must be published.
+    fn at_cursor(&mut self, released: &AtomicU64) -> &Item {
+        if self.cursor == self.seg.end() {
+            let next = Arc::clone(self.seg.next.get().expect("next segment linked"));
+            self.seg = next;
+            released.store(self.seg.start, Ordering::Release);
+        }
+        self.seg.item(self.cursor)
+    }
+
+    /// Consumes the published items `..len` up to the one `key` aligns
+    /// with. Behind entries go to `skip`; barrier progress is passed over.
+    /// An equal entry is taken (`Some(true)`); an ahead or divergent one is
+    /// left unconsumed (`Some(false)`). With every item consumed, the
+    /// master is past `key` (`Some(false)`) when it finished or its last
+    /// item is not behind `key`; otherwise the slave must wait (`None`).
+    fn scan(
+        &mut self,
+        len: u64,
+        done: bool,
+        key: &ProgressKey,
+        released: &AtomicU64,
+        skip: &mut impl FnMut(&Entry),
+    ) -> Option<bool> {
+        while self.cursor < len {
+            let order = match self.at_cursor(released) {
+                Item::Progress(_) => ProgressOrder::Behind,
+                Item::Call(e) => {
+                    let order = e.key.cmp_progress(key);
+                    if order == ProgressOrder::Behind {
+                        skip(e);
+                    }
+                    order
+                }
+            };
+            match order {
+                ProgressOrder::Behind => self.cursor += 1,
+                ProgressOrder::Equal => {
+                    self.cursor += 1;
+                    return Some(true);
+                }
+                ProgressOrder::Ahead | ProgressOrder::Divergent => return Some(false),
+            }
+        }
+        // The cursor is at `len`, so the last item is in `seg`.
+        let last = len.checked_sub(1).map(|i| self.seg.item(i).key());
+        (done || last.is_some_and(|k| k.cmp_progress(key) != ProgressOrder::Behind))
+            .then_some(false)
+    }
+}
+
+/// Aligns a value to its own pair of cache lines, so fields one role
+/// writes never share a line with fields the other role writes.
+#[derive(Debug, Default)]
+#[repr(align(128))]
+pub(crate) struct Padded<T>(T);
+
+impl<T> Deref for Padded<T> {
+    type Target = T;
+
+    fn deref(&self) -> &T {
+        &self.0
+    }
+}
+
+/// What a parked role waits on, under the pair's park mutex.
+#[derive(Debug, Default)]
+struct Parking {
+    /// The slave's published progress.
+    slave_ready: Option<ProgressKey>,
+    /// The master is parked in [`Pair::wait_past`].
+    master_parked: bool,
+}
+
+/// Test-only counters of the wake protocol.
+#[cfg(test)]
+#[derive(Debug, Default)]
+struct Probe {
+    /// Condvar notifications.
+    wakes: AtomicU64,
+    /// Slave parks that slept on the condvar.
+    parks: AtomicU64,
+    /// The last log length the master published while it saw no parked
+    /// slave.
+    unwoken: AtomicU64,
+    /// Slave parks that ended on their time slice.
+    timeouts: AtomicU64,
+    /// Slave parks that timed out although the master had published an
+    /// item after the slave's last look without waking it.
+    lost: AtomicU64,
+}
+
 /// What the slave's syscall aligns with (see [`Pair::next_for_slave`]).
-pub(crate) enum Next {
-    /// The master's entry at exactly the slave's key, taken off the queue.
-    Aligned(Entry),
+pub(crate) enum Next<'a> {
+    /// The master's entry at exactly the slave's key, now consumed.
+    Aligned(Taken<'a>),
     /// The master is provably past the slave's key: no entry will align.
     MasterPast,
     /// The stop signal fired or the wait hit `MAX_WAIT`.
     GaveUp,
 }
 
-/// A thread pair's synchronization cell.
-#[derive(Debug, Default)]
+/// A consumed entry, read in place in the log (the pair's reader stays
+/// locked while it is held).
+pub(crate) struct Taken<'a>(MutexGuard<'a, Reader>);
+
+impl Deref for Taken<'_> {
+    type Target = Entry;
+
+    fn deref(&self) -> &Entry {
+        match self.0.seg.item(self.0.cursor - 1) {
+            Item::Call(e) => e,
+            Item::Progress(_) => unreachable!("only entries are taken"),
+        }
+    }
+}
+
+/// One blocking wait's safety valves and stall timing.
+#[derive(Default)]
+struct Wait {
+    since: Option<Instant>,
+    t0_ns: u64,
+    /// Parks that slept on the condvar.
+    parks: u64,
+}
+
+impl Wait {
+    /// Whether the waiter may park (again): not once the stop signal fired
+    /// or the wait has lasted `MAX_WAIT`. The first call starts the clock.
+    fn may_park(&mut self, stop: &StopSignal, timed: bool) -> bool {
+        if stop.should_stop() || self.since.is_some_and(|t| t.elapsed() > MAX_WAIT) {
+            return false;
+        }
+        if self.since.is_none() {
+            self.since = Some(Instant::now());
+            if timed {
+                self.t0_ns = ldx_obs::now_ns();
+            }
+        }
+        true
+    }
+}
+
+/// A thread pair's outcome log and wake-up cell.
 pub(crate) struct Pair {
-    inner: Mutex<PairInner>,
+    /// Master-owned: the live segments, oldest first; items are appended
+    /// to the last one.
+    segments: Padded<Mutex<VecDeque<Arc<Segment>>>>,
+    /// Items published (stored after the item's slot is written; only the
+    /// master, holding `segments`, stores it).
+    len: Padded<AtomicU64>,
+    /// The master's thread finished: its progress is the top key.
+    master_done: Padded<AtomicBool>,
+    /// The slave announced a park.
+    slave_parked: Padded<AtomicBool>,
+    /// Slave-owned: the read end.
+    reader: Padded<Mutex<Reader>>,
+    /// Start of the reader's segment: every segment before it is free.
+    /// The reader stores it (Release) after dropping its reference to the
+    /// segment it left; the master loads it (Acquire) to reclaim.
+    released: Padded<AtomicU64>,
+    park: Padded<Mutex<Parking>>,
     cv: Condvar,
+    #[cfg(test)]
+    probe: Probe,
+}
+
+impl Default for Pair {
+    fn default() -> Self {
+        let first = Arc::new(Segment::new(0));
+        Pair {
+            segments: Padded(Mutex::new(VecDeque::from([Arc::clone(&first)]))),
+            len: Padded::default(),
+            master_done: Padded::default(),
+            slave_parked: Padded::default(),
+            reader: Padded(Mutex::new(Reader {
+                seg: first,
+                cursor: 0,
+            })),
+            released: Padded::default(),
+            park: Padded::default(),
+            cv: Condvar::new(),
+            #[cfg(test)]
+            probe: Probe::default(),
+        }
+    }
 }
 
 impl Pair {
-    /// Enqueues a master outcome and publishes its key as the master's
-    /// progress.
+    /// Appends a master outcome; its key becomes the master's progress.
     pub fn push(&self, entry: Entry) {
-        let mut inner = self.inner.lock();
-        inner.master_ready = Some(entry.key.clone());
-        inner.queue.push_back(entry);
-        drop(inner);
-        self.cv.notify_all();
+        self.append(Item::Call(entry));
     }
 
-    /// Publishes a ready key for `role` and wakes waiters.
-    pub fn publish(&self, role: Role, key: ProgressKey) {
-        let mut inner = self.inner.lock();
-        let slot = match role {
-            Role::Master => &mut inner.master_ready,
-            Role::Slave => &mut inner.slave_ready,
-        };
-        *slot = Some(key);
-        drop(inner);
-        self.cv.notify_all();
+    /// Publishes a ready key for `role`.
+    pub fn publish(&self, role: Role, key: &ProgressKey) {
+        match role {
+            Role::Master => self.append(Item::Progress(key.clone())),
+            Role::Slave => self.publish_slave(key),
+        }
     }
 
     /// Marks `role`'s thread as finished: its terminal key.
     pub fn finish(&self, role: Role) {
-        self.publish(role, ProgressKey::top());
+        match role {
+            Role::Master => {
+                self.master_done.store(true, Ordering::SeqCst);
+                self.wake();
+            }
+            Role::Slave => self.publish_slave(&ProgressKey::top()),
+        }
     }
 
     /// Runs `f` on `role`'s published progress.
     pub fn with_ready<R>(&self, role: Role, f: impl FnOnce(Option<&ProgressKey>) -> R) -> R {
-        f(self.inner.lock().ready(role))
+        match role {
+            Role::Slave => f(self.park.lock().slave_ready.as_ref()),
+            Role::Master if self.master_done.load(Ordering::SeqCst) => f(Some(&ProgressKey::top())),
+            Role::Master => {
+                let segments = self.segments.lock();
+                let last = self.len.load(Ordering::SeqCst).checked_sub(1);
+                f(last.map(|i| segments.back().expect("live").item(i).key()))
+            }
+        }
     }
 
-    /// Blocks until `role`'s progress is not behind `key`. Returns false
-    /// when released by the stop signal or `MAX_WAIT` instead.
-    pub fn wait_past(&self, role: Role, key: &ProgressKey, stop: &StopSignal) -> bool {
-        self.wait(stop, None, |inner| inner.past(role, key).then_some(()))
-            .is_some()
+    /// Blocks the master until the slave's progress is not behind `key`.
+    /// Returns false when released by the stop signal or `MAX_WAIT`
+    /// instead.
+    pub fn wait_past(&self, key: &ProgressKey, stop: &StopSignal) -> bool {
+        let mut wait = Wait::default();
+        let mut park = self.park.lock();
+        loop {
+            let ready = park.slave_ready.as_ref();
+            if ready.is_some_and(|r| r.cmp_progress(key) != ProgressOrder::Behind) {
+                return true;
+            }
+            if !wait.may_park(stop, false) {
+                return false;
+            }
+            park.master_parked = true;
+            self.cv.wait_for(&mut park, SLICE);
+            park.master_parked = false;
+        }
     }
 
     /// Publishes the slave's key and finds the master entry its syscall
-    /// aligns with, blocking while the master is behind. Entries behind
-    /// the key are master-only: each is handed to `skip` (under the pair
-    /// lock, so they are seen in queue order). An entry ahead of or
-    /// divergent from the key stays queued for a later slave syscall.
-    pub fn next_for_slave(&self, ctx: &SyscallCtx, mut skip: impl FnMut(Entry)) -> Next {
-        self.publish(Role::Slave, ctx.key.clone());
-        self.wait(&ctx.stop, Some(ctx), |inner| {
-            while let Some(front) = inner.queue.front() {
-                match front.key.cmp_progress(&ctx.key) {
-                    ProgressOrder::Behind => skip(inner.queue.pop_front().expect("front exists")),
-                    ProgressOrder::Equal => {
-                        return inner.queue.pop_front().map(Next::Aligned);
-                    }
-                    ProgressOrder::Ahead | ProgressOrder::Divergent => {
-                        return Some(Next::MasterPast)
-                    }
-                }
-            }
-            inner
-                .past(Role::Master, &ctx.key)
-                .then_some(Next::MasterPast)
-        })
-        .unwrap_or(Next::GaveUp)
-    }
-
-    /// Takes every entry still queued.
-    pub fn drain(&self) -> VecDeque<Entry> {
-        std::mem::take(&mut self.inner.lock().queue)
-    }
-
-    /// The one coupling wait loop: polls `poll` under the pair lock,
-    /// blocking on the condvar in 2 ms slices between polls, until it
-    /// yields, the stop signal fires, or `MAX_WAIT` elapses (`None`).
-    /// With `stall` set and observability on, a wait that blocked is
+    /// aligns with, parking while the master is behind. Entries behind the
+    /// key are master-only: each is handed to `skip`, in log order. An
+    /// entry ahead of or divergent from the key stays unconsumed for a
+    /// later slave syscall. With observability on, a wait that parked is
     /// reported to the stall profiler under the syscall's static site,
-    /// timed from the first block to the release, together with the
+    /// timed from the first park to the release, together with the
     /// master/slave progress delta at release.
-    fn wait<T>(
-        &self,
-        stop: &StopSignal,
-        stall: Option<&SyscallCtx>,
-        mut poll: impl FnMut(&mut PairInner) -> Option<T>,
-    ) -> Option<T> {
-        let stall = stall.filter(|_| ldx_obs::enabled());
-        let mut first_block: Option<Instant> = None;
-        let mut t0_ns = 0;
-        let mut waits: u64 = 0;
-        let mut inner = self.inner.lock();
-        let got = loop {
-            if let Some(v) = poll(&mut inner) {
-                break Some(v);
+    pub fn next_for_slave(&self, ctx: &SyscallCtx, mut skip: impl FnMut(&Entry)) -> Next<'_> {
+        self.publish_slave(&ctx.key);
+        let timed = ldx_obs::enabled();
+        let mut wait = Wait::default();
+        let mut reader = self.reader.lock();
+        let found = loop {
+            // `done` before `len`: a finished master has published all.
+            let done = self.master_done.load(Ordering::SeqCst);
+            let len = self.len.load(Ordering::SeqCst);
+            if let Some(aligned) = reader.scan(len, done, &ctx.key, &self.released, &mut skip) {
+                break Some(aligned);
             }
-            if stop.should_stop() || first_block.is_some_and(|t| t.elapsed() > MAX_WAIT) {
+            if !wait.may_park(&ctx.stop, timed) {
                 break None;
             }
-            if first_block.is_none() {
-                first_block = Some(Instant::now());
-                if stall.is_some() {
-                    t0_ns = ldx_obs::now_ns();
+            self.park_slave(len, &mut wait);
+        };
+        if timed && wait.parks > 0 {
+            self.report_stall(ctx, &wait);
+        }
+        match found {
+            Some(true) => Next::Aligned(Taken(reader)),
+            Some(false) => Next::MasterPast,
+            None => Next::GaveUp,
+        }
+    }
+
+    /// Consumes every item still unconsumed, handing its entries to `f`.
+    pub fn drain(&self, mut f: impl FnMut(&Entry)) {
+        let mut reader = self.reader.lock();
+        let len = self.len.load(Ordering::SeqCst);
+        while reader.cursor < len {
+            if let Item::Call(e) = reader.at_cursor(&self.released) {
+                f(e);
+            }
+            reader.cursor += 1;
+        }
+    }
+
+    /// The master's append: fill the next slot, publish the length, and
+    /// wake the slave only if it announced a park.
+    fn append(&self, item: Item) {
+        let mut segments = self.segments.lock();
+        let i = self.len.load(Ordering::Relaxed);
+        if i == segments.back().expect("live").end() {
+            self.reclaim(&mut segments);
+            let seg = Arc::new(Segment::new(i));
+            let tail = segments.back().expect("live");
+            tail.next.set(Arc::clone(&seg)).expect("linked once");
+            segments.push_back(seg);
+        }
+        let tail = segments.back().expect("live");
+        tail.slots[(i - tail.start) as usize]
+            .set(item)
+            .expect("slot written once");
+        self.len.store(i + 1, Ordering::SeqCst);
+        drop(segments);
+        // Claiming the flag wakes a parked slave once, not per publish.
+        if self.slave_parked.swap(false, Ordering::SeqCst) {
+            self.wake();
+        } else {
+            #[cfg(test)]
+            self.probe.unwoken.store(i + 1, Ordering::SeqCst);
+        }
+    }
+
+    /// Frees the segments the slave has left, here on the master's thread.
+    fn reclaim(&self, segments: &mut VecDeque<Arc<Segment>>) {
+        let released = self.released.load(Ordering::Acquire);
+        while segments.front().is_some_and(|s| s.end() <= released) {
+            segments.pop_front();
+        }
+    }
+
+    /// Parks the slave for one slice unless the log has grown past `len`
+    /// or the master finished since the slave looked.
+    fn park_slave(&self, len: u64, wait: &mut Wait) {
+        let mut park = self.park.lock();
+        self.slave_parked.store(true, Ordering::SeqCst);
+        if !self.master_done.load(Ordering::SeqCst) && self.len.load(Ordering::SeqCst) == len {
+            wait.parks += 1;
+            let _timed_out = self.cv.wait_for(&mut park, SLICE).timed_out();
+            #[cfg(test)]
+            {
+                self.probe.parks.fetch_add(1, Ordering::Relaxed);
+                if _timed_out {
+                    self.probe.timeouts.fetch_add(1, Ordering::Relaxed);
+                    if self.probe.unwoken.load(Ordering::SeqCst) > len {
+                        self.probe.lost.fetch_add(1, Ordering::Relaxed);
+                    }
                 }
             }
-            waits += 1;
-            self.cv.wait_for(&mut inner, Duration::from_millis(2));
-        };
-        if let Some(ctx) = stall.filter(|_| waits > 0) {
-            let delta = master_delta(inner.master_ready.as_ref(), &ctx.key);
-            drop(inner);
-            let ns = ldx_obs::now_ns().saturating_sub(t0_ns);
-            ldx_obs::stall_record(&format!("f{}:s{}", ctx.func.0, ctx.site.0), ns, delta);
-            ldx_obs::record_complete(
-                ldx_obs::cat::BARRIER_WAIT,
-                "align-wait",
-                t0_ns,
-                ns,
-                vec![("delta", delta as i64), ("waits", waits as i64)],
-            );
         }
-        got
+        self.slave_parked.store(false, Ordering::SeqCst);
+    }
+
+    /// Publishes the slave's progress, waking the master if it is parked.
+    fn publish_slave(&self, key: &ProgressKey) {
+        let mut park = self.park.lock();
+        match &mut park.slave_ready {
+            Some(ready) => ready.clone_from(key),
+            slot => *slot = Some(key.clone()),
+        }
+        let wake = std::mem::take(&mut park.master_parked);
+        drop(park);
+        if wake {
+            self.notify();
+        }
+    }
+
+    /// Wakes whoever is parked. Taking the park mutex first means a waiter
+    /// between its announcement and its sleep is asleep before the notify.
+    fn wake(&self) {
+        drop(self.park.lock());
+        self.notify();
+    }
+
+    fn notify(&self) {
+        #[cfg(test)]
+        self.probe.wakes.fetch_add(1, Ordering::Relaxed);
+        self.cv.notify_all();
+    }
+
+    /// Reports a slave wait that parked to the stall profiler and trace.
+    fn report_stall(&self, ctx: &SyscallCtx, wait: &Wait) {
+        let delta = self.with_ready(Role::Master, |m| master_delta(m, &ctx.key));
+        let ns = ldx_obs::now_ns().saturating_sub(wait.t0_ns);
+        ldx_obs::stall_record(&format!("f{}:s{}", ctx.func.0, ctx.site.0), ns, delta);
+        ldx_obs::record_complete(
+            ldx_obs::cat::BARRIER_WAIT,
+            "align-wait",
+            wait.t0_ns,
+            ns,
+            vec![("delta", delta as i64), ("waits", wait.parks as i64)],
+        );
+    }
+
+    /// Log slots the master still holds.
+    #[cfg(test)]
+    fn retained(&self) -> u64 {
+        self.segments.lock().len() as u64 * SEGMENT
     }
 }
 
@@ -250,7 +592,7 @@ impl<'a> Call<'a> {
         }
     }
 
-    /// A queued master syscall of `thread`.
+    /// A logged master syscall of `thread`.
     pub fn entry(thread: &'a ThreadKey, entry: &'a Entry) -> Self {
         Call {
             thread,
@@ -263,31 +605,51 @@ impl<'a> Call<'a> {
     }
 }
 
-/// Counters shared by the two wrappers.
+/// Counters shared by the two wrappers. Each sits on its own cache
+/// lines: the master writes `master_sinks`, the slave the others.
 #[derive(Debug, Default)]
 pub(crate) struct CouplingStats {
     /// Outcomes shared master → slave.
-    pub shared: AtomicU64,
+    pub shared: Padded<AtomicU64>,
     /// Slave syscalls executed decoupled.
-    pub decoupled: AtomicU64,
+    pub decoupled: Padded<AtomicU64>,
     /// Non-sink syscall differences (master-only + slave-decoupled).
-    pub diffs: AtomicU64,
+    pub diffs: Padded<AtomicU64>,
     /// Sink instances the master executed.
-    pub master_sinks: AtomicU64,
+    pub master_sinks: Padded<AtomicU64>,
 }
 
-/// The thread pairs of one dual execution.
+/// The pairs of spawned threads.
 #[derive(Default)]
-struct Pairs {
+struct Spawned {
     by_thread: HashMap<ThreadKey, Arc<Pair>>,
     /// Roles whose whole execution finished: a pair created later starts
     /// finished for them.
     finished: Vec<Role>,
 }
 
+/// A thread's pair: the root's is borrowed, a spawned thread's shared.
+pub(crate) enum PairRef<'a> {
+    Root(&'a Pair),
+    Spawned(Arc<Pair>),
+}
+
+impl Deref for PairRef<'_> {
+    type Target = Pair;
+
+    fn deref(&self) -> &Pair {
+        match self {
+            PairRef::Root(p) => p,
+            PairRef::Spawned(p) => p,
+        }
+    }
+}
+
 /// All shared state of one dual execution.
 pub(crate) struct Coupling {
-    pairs: Mutex<Pairs>,
+    /// The root thread's pair, reached without a lookup.
+    root: Pair,
+    spawned: Mutex<Spawned>,
     pub records: Mutex<Vec<CausalityRecord>>,
     pub stats: CouplingStats,
     /// The divergence flight recorder (`None` when recording is off — the
@@ -299,7 +661,8 @@ impl Coupling {
     /// Creates coupling state; `record` enables the flight recorder.
     pub fn new(record: bool) -> Self {
         Coupling {
-            pairs: Mutex::new(Pairs::default()),
+            root: Pair::default(),
+            spawned: Mutex::new(Spawned::default()),
             records: Mutex::new(Vec::new()),
             stats: CouplingStats::default(),
             recorder: record.then(|| FlightRecorder::new(DEFAULT_FLIGHT_CAPACITY)),
@@ -354,26 +717,30 @@ impl Coupling {
     }
 
     /// The pair cell for thread `t`, created on first use by either side.
-    pub fn pair(&self, t: &ThreadKey) -> Arc<Pair> {
-        let mut pairs = self.pairs.lock();
-        if let Some(p) = pairs.by_thread.get(t) {
-            return Arc::clone(p);
+    pub fn pair(&self, t: &ThreadKey) -> PairRef<'_> {
+        if t.is_root() {
+            return PairRef::Root(&self.root);
+        }
+        let mut spawned = self.spawned.lock();
+        if let Some(p) = spawned.by_thread.get(t) {
+            return PairRef::Spawned(Arc::clone(p));
         }
         let p = Arc::new(Pair::default());
         // If one whole execution already finished, threads it never spawned
         // must not be waited for.
-        for &role in &pairs.finished {
+        for &role in &spawned.finished {
             p.finish(role);
         }
-        pairs.by_thread.insert(t.clone(), Arc::clone(&p));
-        p
+        spawned.by_thread.insert(t.clone(), Arc::clone(&p));
+        PairRef::Spawned(p)
     }
 
     /// Marks a whole execution as finished, releasing every waiter.
     pub fn finish_execution(&self, role: Role) {
-        let mut pairs = self.pairs.lock();
-        pairs.finished.push(role);
-        for pair in pairs.by_thread.values() {
+        self.root.finish(role);
+        let mut spawned = self.spawned.lock();
+        spawned.finished.push(role);
+        for pair in spawned.by_thread.values() {
             pair.finish(role);
         }
     }
@@ -385,15 +752,15 @@ impl Coupling {
         &self,
         role: Role,
         thread: &ThreadKey,
-        entry: Entry,
+        entry: &Entry,
         sink_kind: CausalityKind,
     ) {
-        self.note(role, Decision::MasterOnly, Call::entry(thread, &entry));
+        self.note(role, Decision::MasterOnly, Call::entry(thread, entry));
         if entry.is_sink {
             self.record(CausalityRecord {
                 kind: sink_kind,
                 thread: thread.clone(),
-                key: entry.key,
+                key: entry.key.clone(),
                 func: entry.func,
                 site: entry.site,
                 sys: entry.sys,
@@ -408,16 +775,18 @@ impl Coupling {
 
     /// Drains every unconsumed master entry at the end of the run:
     /// master-only syscall differences, including master-only sinks.
-    /// Pairs are drained in `ThreadKey` order so records and flight
-    /// events land deterministically.
+    /// Pairs are drained in `ThreadKey` order (the root's first) so records
+    /// and flight events land deterministically.
     pub fn reconcile(&self) {
-        let pairs = self.pairs.lock();
-        let mut ordered: Vec<(&ThreadKey, &Arc<Pair>)> = pairs.by_thread.iter().collect();
+        let spawned = self.spawned.lock();
+        let mut ordered: Vec<(&ThreadKey, &Arc<Pair>)> = spawned.by_thread.iter().collect();
         ordered.sort_by(|a, b| a.0.cmp(b.0));
-        for (thread, pair) in ordered {
-            for entry in pair.drain() {
-                self.master_only(Role::Master, thread, entry, CausalityKind::MasterOnlySink);
-            }
+        let root = ThreadKey::root();
+        let pairs = ordered.into_iter().map(|(t, p)| (t, &**p));
+        for (thread, pair) in std::iter::once((&root, &self.root)).chain(pairs) {
+            pair.drain(|entry| {
+                self.master_only(Role::Master, thread, entry, CausalityKind::MasterOnlySink)
+            });
         }
     }
 }
@@ -463,11 +832,17 @@ mod tests {
         r.is_some_and(ProgressKey::is_top)
     }
 
+    fn unconsumed(p: &Pair) -> usize {
+        let mut n = 0;
+        p.drain(|_| n += 1);
+        n
+    }
+
     #[test]
     fn pair_publish_and_finish() {
         let c = Coupling::new(false);
         let p = c.pair(&ThreadKey::root());
-        p.publish(Role::Master, ProgressKey::start());
+        p.publish(Role::Master, &ProgressKey::start());
         assert!(p.with_ready(Role::Master, |r| r.is_some()));
         p.finish(Role::Slave);
         assert!(p.with_ready(Role::Slave, is_top));
@@ -486,9 +861,11 @@ mod tests {
     fn finish_execution_releases_existing_pairs() {
         let c = Coupling::new(false);
         let p = c.pair(&ThreadKey::root());
+        let q = c.pair(&ThreadKey::root().child(0));
         assert!(!p.with_ready(Role::Master, is_top));
         c.finish_execution(Role::Master);
         assert!(p.with_ready(Role::Master, is_top));
+        assert!(q.with_ready(Role::Master, is_top));
     }
 
     #[test]
@@ -497,20 +874,20 @@ mod tests {
         let p = c.pair(&ThreadKey::root());
         let stop = StopSignal::new();
         stop.request_exit(0);
-        assert!(!p.wait_past(Role::Master, &key(1), &stop));
+        assert!(!p.wait_past(&key(1), &stop));
     }
 
     #[test]
     fn wait_past_observes_progress() {
         let c = Coupling::new(false);
-        let p = c.pair(&ThreadKey::root());
-        let p2 = Arc::clone(&p);
-        let h = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(10));
-            p2.publish(Role::Slave, key(4));
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                std::thread::sleep(Duration::from_millis(10));
+                c.pair(&ThreadKey::root()).publish(Role::Slave, &key(4));
+            });
+            let p = c.pair(&ThreadKey::root());
+            assert!(p.wait_past(&key(4), &StopSignal::new()));
         });
-        assert!(p.wait_past(Role::Slave, &key(4), &StopSignal::new()));
-        h.join().unwrap();
     }
 
     #[test]
@@ -524,7 +901,7 @@ mod tests {
         let next = p.next_for_slave(&ctx(3, &StopSignal::new()), |e| skipped.push(e.site));
         assert_eq!(skipped, vec![SiteId(1), SiteId(2)]);
         assert!(matches!(next, Next::Aligned(e) if e.site == SiteId(3)));
-        assert!(p.drain().is_empty());
+        assert_eq!(unconsumed(&p), 0);
         assert!(p.with_ready(Role::Slave, |r| r == Some(&key(3))));
     }
 
@@ -537,34 +914,53 @@ mod tests {
         assert!(
             matches!(next, Next::Aligned(e) if e.site == SiteId(7) && e.outcome == Value::Int(5))
         );
-        assert!(p.drain().is_empty());
+        assert_eq!(unconsumed(&p), 0);
     }
 
     #[test]
-    fn slave_leaves_an_ahead_entry_queued() {
+    fn slave_leaves_an_ahead_entry_unconsumed() {
         let c = Coupling::new(false);
         let p = c.pair(&ThreadKey::root());
         p.push(entry(9, 1, false));
         let next = p.next_for_slave(&ctx(5, &StopSignal::new()), |_| panic!("nothing behind"));
         assert!(matches!(next, Next::MasterPast));
-        assert_eq!(p.drain().len(), 1);
+        assert_eq!(unconsumed(&p), 1);
+    }
+
+    #[test]
+    fn barrier_progress_orders_but_is_never_an_entry() {
+        let c = Coupling::new(false);
+        let p = c.pair(&ThreadKey::root());
+        p.push(entry(1, 1, false));
+        p.publish(Role::Master, &key(4));
+        // The barrier key is the master's progress: past key 3, at key 4.
+        let stop = StopSignal::new();
+        let next = p.next_for_slave(&ctx(3, &stop), |e| assert_eq!(e.site, SiteId(1)));
+        assert!(matches!(next, Next::MasterPast));
+        let next = p.next_for_slave(&ctx(4, &stop), |_| panic!("nothing behind"));
+        assert!(matches!(next, Next::MasterPast));
+        assert!(p.with_ready(Role::Master, |r| r == Some(&key(4))));
+        c.reconcile();
+        assert!(c.records.lock().is_empty());
+        assert_eq!(c.stats.diffs.load(Ordering::Relaxed), 0);
     }
 
     #[test]
     fn finished_master_or_stop_releases_the_slave() {
         let c = Coupling::new(false);
-        let p = c.pair(&ThreadKey::root());
-        let p2 = Arc::clone(&p);
-        let h = std::thread::spawn(move || {
-            // The slave publishes its key before it waits.
-            while !p2.with_ready(Role::Slave, |r| r.is_some()) {
-                std::thread::yield_now();
-            }
-            p2.finish(Role::Master);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let p = c.pair(&ThreadKey::root());
+                // The slave publishes its key before it waits.
+                while !p.with_ready(Role::Slave, |r| r.is_some()) {
+                    std::thread::yield_now();
+                }
+                p.finish(Role::Master);
+            });
+            let p = c.pair(&ThreadKey::root());
+            let next = p.next_for_slave(&ctx(5, &StopSignal::new()), |_| {});
+            assert!(matches!(next, Next::MasterPast));
         });
-        let next = p.next_for_slave(&ctx(5, &StopSignal::new()), |_| {});
-        assert!(matches!(next, Next::MasterPast));
-        h.join().unwrap();
 
         let q = c.pair(&ThreadKey::root().child(0));
         let stop = StopSignal::new();
@@ -581,9 +977,129 @@ mod tests {
         let p = c.pair(&ThreadKey::root());
         p.push(entry(0, 0, false));
         p.push(entry(0, 1, true));
+        c.pair(&ThreadKey::root().child(0)).push(entry(0, 2, true));
         c.reconcile();
         assert_eq!(c.stats.diffs.load(Ordering::Relaxed), 1);
-        assert_eq!(c.records.lock().len(), 1);
-        assert!(p.drain().is_empty());
+        let sites: Vec<SiteId> = c.records.lock().iter().map(|r| r.site).collect();
+        assert_eq!(
+            sites,
+            vec![SiteId(1), SiteId(2)],
+            "root first, then spawned"
+        );
+        assert_eq!(unconsumed(&p), 0);
+    }
+
+    /// A publish nobody waits for costs no condvar notify, on either side.
+    #[test]
+    fn publishing_without_a_parked_peer_never_notifies() {
+        let c = Coupling::new(false);
+        let p = c.pair(&ThreadKey::root());
+        let stop = StopSignal::new();
+        for cnt in 1..=1_000 {
+            p.push(entry(cnt, 0, false));
+            if cnt.is_multiple_of(10) {
+                p.publish(Role::Master, &key(cnt));
+            }
+            let next = p.next_for_slave(&ctx(cnt, &stop), |_| panic!("nothing behind"));
+            assert!(matches!(next, Next::Aligned(_)));
+            p.publish(Role::Slave, &key(cnt));
+        }
+        assert_eq!(p.probe.wakes.load(Ordering::Relaxed), 0);
+        assert_eq!(p.probe.parks.load(Ordering::Relaxed), 0);
+    }
+
+    /// The master frees what the slave has passed, so a pair holds the
+    /// slave's lag plus at most two segments, and never less than the lag.
+    #[test]
+    fn retained_entries_are_bounded_by_the_slave_lag() {
+        let c = Coupling::new(false);
+        let p = c.pair(&ThreadKey::root());
+        let stop = StopSignal::new();
+        for cnt in 1..=10_000 {
+            p.push(entry(cnt, 0, false));
+            assert!(matches!(
+                p.next_for_slave(&ctx(cnt, &stop), |_| {}),
+                Next::Aligned(_)
+            ));
+            assert!(
+                p.retained() <= 2 * SEGMENT,
+                "{} slots at {cnt}",
+                p.retained()
+            );
+        }
+        let lag = 1_000;
+        for cnt in 10_001..=10_000 + lag {
+            p.push(entry(cnt, 0, false));
+        }
+        assert!(p.retained() >= lag);
+        assert!(p.retained() <= lag + 2 * SEGMENT);
+        for cnt in 10_001..=10_000 + lag {
+            let next = p.next_for_slave(&ctx(cnt, &stop), |_| panic!("in order"));
+            assert!(matches!(next, Next::Aligned(e) if e.outcome == Value::Int(cnt as i64)));
+        }
+        p.push(entry(20_000, 0, false));
+        assert!(p.retained() <= lag + 2 * SEGMENT);
+        for cnt in 20_001..20_000 + 2 * SEGMENT {
+            p.push(entry(cnt, 0, false));
+        }
+        assert!(p.retained() <= 3 * SEGMENT, "{} slots", p.retained());
+    }
+
+    /// A master thread appends ~100k entries and barrier keys with random
+    /// yields and lockstep waits while the slave consumes and parks. Every slave syscall must
+    /// align with the master's entry at its key, in order, and no park may
+    /// time out on an item the master published without waking it.
+    #[test]
+    fn the_slave_never_misses_a_wakeup() {
+        const N: u64 = 100_000;
+        let c = Coupling::new(false);
+        let p = c.pair(&ThreadKey::root());
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let mut rng = 0x9e37_79b9_7f4a_7c15_u64;
+                for cnt in 1..=N {
+                    rng ^= rng << 13;
+                    rng ^= rng >> 7;
+                    rng ^= rng << 17;
+                    p.push(entry(cnt, (cnt % 7) as u32, false));
+                    if rng.is_multiple_of(5) {
+                        p.publish(Role::Master, &key(cnt));
+                    }
+                    if rng.is_multiple_of(3) {
+                        std::thread::yield_now();
+                    }
+                    // The enforcement-mode lockstep: a wakeup lost here
+                    // would leave both sides asleep for a whole slice.
+                    if rng.is_multiple_of(11) {
+                        assert!(p.wait_past(&key(cnt), &StopSignal::new()));
+                    }
+                }
+                p.finish(Role::Master);
+            });
+            let stop = StopSignal::new();
+            for cnt in 1..=N {
+                let next = p.next_for_slave(&ctx(cnt, &stop), |e| {
+                    panic!("entry {} skipped at {cnt}", e.key)
+                });
+                match next {
+                    Next::Aligned(e) => {
+                        assert_eq!(e.outcome, Value::Int(cnt as i64));
+                        assert_eq!(e.site, SiteId((cnt % 7) as u32));
+                    }
+                    Next::MasterPast | Next::GaveUp => panic!("no alignment at {cnt}"),
+                }
+            }
+        });
+        let parks = p.probe.parks.load(Ordering::Relaxed);
+        let timeouts = p.probe.timeouts.load(Ordering::Relaxed);
+        assert_eq!(p.probe.lost.load(Ordering::Relaxed), 0, "lost wakeups");
+        assert!(parks > 0, "the slave never parked");
+        // A slice ends on its timeout only when the master stalls for 2 ms
+        // (descheduled on a loaded host); the master's wakes end the rest.
+        assert!(
+            2 * timeouts <= parks,
+            "{timeouts} of {parks} parks timed out"
+        );
+        assert_eq!(unconsumed(&p), 0);
     }
 }

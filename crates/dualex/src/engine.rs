@@ -16,8 +16,9 @@ use std::collections::{HashMap, HashSet};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-/// Runs the master and the slave concurrently (each on its own OS thread,
-/// like the paper's "two separate CPUs") and returns the causality report.
+/// Runs the master and the slave concurrently (the master on the calling
+/// thread, the slave on a thread of its own, like the paper's "two
+/// separate CPUs") and returns the causality report.
 ///
 /// The master executes against a fresh world built from `config`; the
 /// slave shares the master's aligned syscall outcomes, perturbs the
@@ -29,15 +30,16 @@ use std::sync::Arc;
 /// This entry point is **reentrant and `Send`-safe**: every piece of
 /// coupling state — the `Coupling` channel, the master's world, lock
 /// tables, the slave's overlay — is allocated per call and shared only
-/// between the two threads this call spawns. There are no `static`s or
-/// thread-locals anywhere in the engine (audited: `couple.rs`,
-/// `master.rs`, `slave.rs`, `overlay.rs`), so any number of
-/// `dual_execute` calls may run concurrently from different threads —
-/// the contract the batch scheduler in `ldx::batch` relies on. Each call
-/// uses **two** OS threads; schedulers should budget accordingly.
+/// between the calling thread and the one slave thread this call spawns.
+/// There are no `static`s or thread-locals anywhere in the engine
+/// (audited: `couple.rs`, `master.rs`, `slave.rs`, `overlay.rs`), so any
+/// number of `dual_execute` calls may run concurrently from different
+/// threads — the contract the batch scheduler in `ldx::batch` relies on.
+/// Each call keeps **two** OS threads busy (the caller and the slave);
+/// schedulers should budget accordingly.
 pub fn dual_execute(program: Arc<IrProgram>, config: &VosConfig, spec: &DualSpec) -> DualReport {
     // Compile-time audit that the inputs cross thread boundaries safely
-    // (the scoped spawns below require it, but spell the contract out).
+    // (the scoped spawn below requires it, but spell the contract out).
     fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<Arc<IrProgram>>();
     assert_send_sync::<VosConfig>();
@@ -73,33 +75,23 @@ fn dual_execute_inner(program: Arc<IrProgram>, config: &VosConfig, spec: &DualSp
     // A flow arrow links the master and slave spans of this run in the
     // Chrome trace (ph "s" on the master thread, ph "f" on the slave's).
     let flow_id = ldx_obs::tracing_enabled().then(ldx_obs::next_flow_id);
+    let run = |role: Role, hooks: Arc<dyn SyscallHooks>| {
+        // Released on unwind too, so a panicking role frees its peer.
+        let _finished = Finished(&coupling, role);
+        let (cat, start) = match role {
+            Role::Master => (ldx_obs::cat::MASTER, true),
+            Role::Slave => (ldx_obs::cat::SLAVE, false),
+        };
+        let _s = ldx_obs::span(cat, "run");
+        if let Some(id) = flow_id {
+            ldx_obs::flow_point(ldx_obs::cat::FLOW, "dual-run", id, start);
+        }
+        run_program(Arc::clone(&program), hooks, exec)
+    };
     let (master_result, slave_result) = std::thread::scope(|s| {
-        let mc = Arc::clone(&coupling);
-        let mp = Arc::clone(&program);
-        let master = s.spawn(move || {
-            let _s = ldx_obs::span(ldx_obs::cat::MASTER, "run");
-            if let Some(id) = flow_id {
-                ldx_obs::flow_point(ldx_obs::cat::FLOW, "dual-run", id, true);
-            }
-            let r = run_program(mp, master_hooks, exec);
-            mc.finish_execution(Role::Master);
-            r
-        });
-        let sc = Arc::clone(&coupling);
-        let sp = Arc::clone(&program);
-        let slave = s.spawn(move || {
-            let _s = ldx_obs::span(ldx_obs::cat::SLAVE, "run");
-            if let Some(id) = flow_id {
-                ldx_obs::flow_point(ldx_obs::cat::FLOW, "dual-run", id, false);
-            }
-            let r = run_program(sp, slave_hooks, exec);
-            sc.finish_execution(Role::Slave);
-            r
-        });
-        (
-            master.join().expect("master thread"),
-            slave.join().expect("slave thread"),
-        )
+        let slave = s.spawn(|| run(Role::Slave, slave_hooks));
+        let master = run(Role::Master, master_hooks);
+        (master, slave.join().expect("slave thread"))
     });
 
     // Master-only leftovers (syscalls the slave never reached).
@@ -161,6 +153,15 @@ fn dual_execute_inner(program: Arc<IrProgram>, config: &VosConfig, spec: &DualSp
         decoupled: coupling.stats.decoupled.load(Ordering::Relaxed),
         master_sinks: coupling.stats.master_sinks.load(Ordering::Relaxed),
         flight,
+    }
+}
+
+/// Marks a role's whole execution finished when dropped.
+struct Finished<'a>(&'a Coupling, Role);
+
+impl Drop for Finished<'_> {
+    fn drop(&mut self) {
+        self.0.finish_execution(self.1);
     }
 }
 

@@ -1,7 +1,7 @@
 //! The master execution's syscall wrapper (paper Algorithm 2).
 //!
-//! The master runs against the real virtual world, records every syscall
-//! outcome into its thread pair's queue, and publishes its progress so the
+//! The master runs against the real virtual world, appends every syscall
+//! outcome to its thread pair's outcome log, and publishes its progress so the
 //! slave can align. In the paper the master also blocks at sinks to
 //! compare arguments in-line (enforcement mode); this reproduction runs in
 //! *detection* mode — sink comparison happens when the slave reaches the
@@ -33,7 +33,7 @@ pub(crate) struct MasterHooks {
 }
 
 impl MasterHooks {
-    fn enqueue(&self, ctx: &SyscallCtx, args: &[Value], outcome: Value, is_sink: bool) {
+    fn append(&self, ctx: &SyscallCtx, args: &[Value], outcome: Value, is_sink: bool) {
         self.coupling.pair(&ctx.thread).push(Entry {
             key: ctx.key.clone(),
             func: ctx.func,
@@ -59,13 +59,13 @@ impl SyscallHooks for MasterHooks {
             Syscall::Lock => {
                 let id = args[0].as_int()?;
                 self.locks.lock(id, &ctx.thread, &ctx.stop);
-                self.enqueue(ctx, args, Value::Int(0), false);
+                self.append(ctx, args, Value::Int(0), false);
                 Ok(SysOutcome::Value(Value::Int(0)))
             }
             Syscall::Unlock => {
                 let id = args[0].as_int()?;
                 self.locks.unlock(id);
-                self.enqueue(ctx, args, Value::Int(0), false);
+                self.append(ctx, args, Value::Int(0), false);
                 Ok(SysOutcome::Value(Value::Int(0)))
             }
             Syscall::Spawn | Syscall::Join | Syscall::Exit | Syscall::Setjmp | Syscall::Longjmp => {
@@ -73,7 +73,7 @@ impl SyscallHooks for MasterHooks {
                 // §4.2); a longjmp is preceded by an artificial sink (§6)
                 // so a jump difference across the executions is reported.
                 let is_sink = ctx.sys == Syscall::Longjmp;
-                self.enqueue(ctx, args, Value::Int(0), is_sink);
+                self.append(ctx, args, Value::Int(0), is_sink);
                 Ok(SysOutcome::DoLocal)
             }
             sys => {
@@ -83,16 +83,16 @@ impl SyscallHooks for MasterHooks {
                     // the comparison happens before the output escapes.
                     // Note: the master must NOT publish this key yet — its
                     // published progress asserts every entry up to the key
-                    // is enqueued, and the sink entry is not (an early-
+                    // is logged, and the sink entry is not (an early-
                     // arriving slave would decouple spuriously otherwise).
                     let _s = ldx_obs::span(ldx_obs::cat::BARRIER_WAIT, "sink-wait");
                     self.coupling
                         .pair(&ctx.thread)
-                        .wait_past(Role::Slave, &ctx.key, &ctx.stop);
+                        .wait_past(&ctx.key, &ctx.stop);
                 }
                 let sys_args = to_sys_args(args)?;
                 let outcome = from_sys_ret(self.vos.syscall(sys, &sys_args)?);
-                self.enqueue(ctx, args, outcome.clone(), is_sink);
+                self.append(ctx, args, outcome.clone(), is_sink);
                 Ok(SysOutcome::Value(outcome))
             }
         }
@@ -110,7 +110,7 @@ impl SyscallHooks for MasterHooks {
         // unthrottled. Enforcement mode restores the paper's lockstep
         // iteration barrier.
         let pair = self.coupling.pair(thread);
-        pair.publish(Role::Master, key.clone());
+        pair.publish(Role::Master, key);
         self.coupling.flight(Role::Master, || {
             let peer = pair.with_ready(Role::Slave, |r| r.map(key_scalar).unwrap_or(0));
             FlightEvent::Barrier {
@@ -121,7 +121,7 @@ impl SyscallHooks for MasterHooks {
         });
         if self.enforcement {
             let _s = ldx_obs::span(ldx_obs::cat::BARRIER_WAIT, "loop-barrier");
-            pair.wait_past(Role::Slave, key, stop);
+            pair.wait_past(key, stop);
         }
         Ok(())
     }

@@ -17,8 +17,8 @@
 //! * a private [`VosState`] built from the same configuration, handing out
 //!   descriptors from [`FD_START`] up;
 //! * the descriptor shadow: what every descriptor the slave program holds
-//!   refers to, how far it has been consumed, and its private twin once
-//!   rebuilt;
+//!   refers to, which thread opened it, how far it has been consumed, and
+//!   its private twin once rebuilt;
 //! * the diverged paths. A path diverges on its first private access,
 //!   which clones it from the master's live world; from then on it is
 //!   tainted, so no call on it is shared again. Peers are cloned the same
@@ -40,7 +40,7 @@ use crate::recorder::{FlightEvent, ResourceId};
 use crate::report::Role;
 use crate::resolved::{fd_arg, Resource, ResourceView};
 use ldx_lang::Syscall;
-use ldx_runtime::{from_sys_ret, to_sys_args, Trap, Value};
+use ldx_runtime::{from_sys_ret, to_sys_args, ThreadKey, Trap, Value};
 use ldx_vos::{normalize_path, SysArg, Vos, VosConfig, VosState};
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet};
@@ -55,6 +55,8 @@ const FD_START: i64 = 1_000_003;
 #[derive(Debug, Clone)]
 struct Shadow {
     resource: Resource,
+    /// The thread whose call returned the descriptor.
+    owner: ThreadKey,
     /// A file's open flags (0 read, 1 write, 2 append).
     flags: i64,
     /// A client's accept index.
@@ -73,7 +75,12 @@ pub(crate) struct Overlay {
 struct World {
     master: Arc<Vos>,
     state: VosState,
-    fds: HashMap<i64, Shadow>,
+    /// Held descriptors by number. A number can be held twice: the master
+    /// reuses a closed number, and a shared outcome hands it to a slave
+    /// thread while another slave thread, on its own schedule, still holds
+    /// the first descriptor. A thread sees the last one it opened itself,
+    /// else the last one opened (see [`pick`]).
+    fds: HashMap<i64, Vec<Shadow>>,
     /// Clients the slave has seen accepted, shared or private.
     accepts: usize,
     /// Clients the private world itself has accepted.
@@ -108,19 +115,25 @@ impl Overlay {
     /// the descriptor shadow. False, with nothing updated, when the call
     /// touches a tainted path: it must then run privately (paper §7:
     /// "future syscalls on the resource cannot be coupled").
-    pub fn share(&self, sys: Syscall, args: &[Value], outcome: &Value) -> bool {
+    pub fn share(&self, thread: &ThreadKey, sys: Syscall, args: &[Value], outcome: &Value) -> bool {
         let mut world = self.world.lock();
-        if world.touches_tainted(sys, args) {
+        if world.touches_tainted(thread, sys, args) {
             return false;
         }
-        world.track(sys, args, outcome, false);
+        world.track(thread, sys, args, outcome, false);
         true
     }
 
     /// Executes a syscall against the private world: clones what it
     /// touches from the master on first access and rebuilds descriptors
     /// obtained while coupled.
-    pub fn exec(&self, coupling: &Coupling, sys: Syscall, args: &[Value]) -> Result<Value, Trap> {
+    pub fn exec(
+        &self,
+        coupling: &Coupling,
+        thread: &ThreadKey,
+        sys: Syscall,
+        args: &[Value],
+    ) -> Result<Value, Trap> {
         let mut world = self.world.lock();
         let outcome = match sys {
             Syscall::Open => {
@@ -148,7 +161,7 @@ impl Overlay {
                 if (0..=2).contains(&fd) {
                     return Ok(Value::str(""));
                 }
-                let Some(private) = world.private_fd(coupling, fd) else {
+                let Some(private) = world.private_fd(coupling, thread, fd) else {
                     return Ok(Value::str(""));
                 };
                 let n = args[1].as_int()?;
@@ -159,7 +172,7 @@ impl Overlay {
                 args[1].as_str()?;
                 if (0..=2).contains(&fd) {
                     world.run(coupling, sys, args)?
-                } else if let Some(private) = world.private_fd(coupling, fd) {
+                } else if let Some(private) = world.private_fd(coupling, thread, fd) {
                     world.run(coupling, sys, &[Value::Int(private), args[1].clone()])?
                 } else {
                     Value::Int(-1)
@@ -189,18 +202,20 @@ impl Overlay {
                 })
             }
         };
-        world.track(sys, args, &outcome, true);
+        world.track(thread, sys, args, &outcome, true);
         Ok(outcome)
     }
 
-    /// Runs `f` on what descriptor `fd` refers to, if the slave holds it.
+    /// Runs `f` on what descriptor `fd` refers to for `thread`, if the
+    /// slave holds it.
     pub fn with_resource<R>(
         &self,
+        thread: &ThreadKey,
         fd: Option<i64>,
         f: impl FnOnce(Option<ResourceView>) -> R,
     ) -> R {
         let world = self.world.lock();
-        f(fd.and_then(|fd| world.fds.get(&fd))
+        f(fd.and_then(|fd| world.shadow(fd, thread))
             .map(|s| s.resource.view()))
     }
 
@@ -237,7 +252,26 @@ fn path_key(path: &str) -> String {
     normalize_path(path).join("/")
 }
 
+/// Which of the descriptors held under one number `thread` means: the
+/// last it opened itself, else the last opened.
+fn pick(held: &[Shadow], thread: &ThreadKey) -> Option<usize> {
+    held.iter()
+        .rposition(|s| s.owner == *thread)
+        .or(held.len().checked_sub(1))
+}
+
 impl World {
+    fn shadow(&self, fd: i64, thread: &ThreadKey) -> Option<&Shadow> {
+        let held = self.fds.get(&fd)?;
+        held.get(pick(held, thread)?)
+    }
+
+    fn shadow_mut(&mut self, fd: i64, thread: &ThreadKey) -> Option<&mut Shadow> {
+        let held = self.fds.get_mut(&fd)?;
+        let i = pick(held, thread)?;
+        held.get_mut(i)
+    }
+
     /// Runs a call in the private world, first cloning from the master the
     /// paths it names and the peer it connects to.
     fn run(&mut self, coupling: &Coupling, sys: Syscall, args: &[Value]) -> Result<Value, Trap> {
@@ -288,8 +322,8 @@ impl World {
     /// from the master is rebuilt on first use: a file is cloned, opened
     /// and seeked (paper §4.2), a peer reconnected, and a client
     /// re-accepted at its index with the coupled input skipped.
-    fn private_fd(&mut self, coupling: &Coupling, fd: i64) -> Option<i64> {
-        let shadow = self.fds.get(&fd)?.clone();
+    fn private_fd(&mut self, coupling: &Coupling, thread: &ThreadKey, fd: i64) -> Option<i64> {
+        let shadow = self.shadow(fd, thread)?.clone();
         if shadow.private.is_some() {
             return shadow.private;
         }
@@ -344,13 +378,13 @@ impl World {
                 private
             }
         };
-        if let Some(shadow) = self.fds.get_mut(&fd) {
+        if let Some(shadow) = self.shadow_mut(fd, thread) {
             shadow.private = Some(private);
         }
         Some(private)
     }
 
-    fn touches_tainted(&self, sys: Syscall, args: &[Value]) -> bool {
+    fn touches_tainted(&self, thread: &ThreadKey, sys: Syscall, args: &[Value]) -> bool {
         if paths(sys, args).any(|p| self.paths.contains(&path_key(p))) {
             return true;
         }
@@ -360,7 +394,7 @@ impl World {
         ) {
             return false;
         }
-        match fd_arg(args).and_then(|fd| self.fds.get(&fd)) {
+        match fd_arg(args).and_then(|fd| self.shadow(fd, thread)) {
             Some(Shadow {
                 resource: Resource::File(segs),
                 ..
@@ -369,30 +403,39 @@ impl World {
         }
     }
 
-    /// Updates the descriptor shadow with a call's outcome, shared or
-    /// `private`ly executed.
-    fn track(&mut self, sys: Syscall, args: &[Value], outcome: &Value, private: bool) {
+    /// Updates the descriptor shadow with `thread`'s call outcome, shared
+    /// or `private`ly executed.
+    fn track(
+        &mut self,
+        thread: &ThreadKey,
+        sys: Syscall,
+        args: &[Value],
+        outcome: &Value,
+        private: bool,
+    ) {
         match (sys, args.first(), outcome) {
             (Syscall::Open, Some(Value::Str(path)), Value::Int(fd)) => {
                 let flags = args[1].as_int().unwrap_or(0);
                 let file = Resource::File(normalize_path(path));
-                self.opened(*fd, file, flags, 0, private);
+                self.opened(thread, *fd, file, flags, 0, private);
             }
             (Syscall::Connect, Some(Value::Str(host)), Value::Int(fd)) => {
-                self.opened(*fd, Resource::Peer(host.to_string()), 0, 0, private);
+                let peer = Resource::Peer(host.to_string());
+                self.opened(thread, *fd, peer, 0, 0, private);
             }
             (Syscall::Accept, Some(Value::Int(port)), Value::Int(fd)) if *fd >= 0 => {
                 let index = self.accepts;
                 self.accepts += 1;
-                self.opened(*fd, Resource::Client(*port), 0, index, private);
+                self.opened(thread, *fd, Resource::Client(*port), 0, index, private);
             }
             (Syscall::Read | Syscall::Recv, Some(Value::Int(fd)), Value::Str(s)) => {
-                if let Some(shadow) = self.fds.get_mut(fd) {
+                if let Some(shadow) = self.shadow_mut(*fd, thread) {
                     shadow.pos += s.chars().count();
                 }
             }
             (Syscall::Seek, Some(Value::Int(fd)), _) => {
-                let (Ok(pos), Some(shadow)) = (args[1].as_int(), self.fds.get_mut(fd)) else {
+                let (Ok(pos), Some(shadow)) = (args[1].as_int(), self.shadow_mut(*fd, thread))
+                else {
                     return;
                 };
                 shadow.pos = pos.max(0) as usize;
@@ -403,7 +446,7 @@ impl World {
                 }
             }
             (Syscall::Close, Some(Value::Int(fd)), _) => {
-                if let Some(private) = self.fds.remove(fd).and_then(|s| s.private) {
+                if let Some(private) = self.closed(*fd, thread).and_then(|s| s.private) {
                     let _ = self.state.syscall(sys, &[SysArg::Int(private)]);
                 }
             }
@@ -411,17 +454,35 @@ impl World {
         }
     }
 
-    fn opened(&mut self, fd: i64, resource: Resource, flags: i64, index: usize, private: bool) {
+    fn opened(
+        &mut self,
+        thread: &ThreadKey,
+        fd: i64,
+        resource: Resource,
+        flags: i64,
+        index: usize,
+        private: bool,
+    ) {
         if fd >= 0 {
             let shadow = Shadow {
                 resource,
+                owner: thread.clone(),
                 flags,
                 index,
                 pos: 0,
                 private: private.then_some(fd),
             };
-            self.fds.insert(fd, shadow);
+            self.fds.entry(fd).or_default().push(shadow);
         }
+    }
+
+    fn closed(&mut self, fd: i64, thread: &ThreadKey) -> Option<Shadow> {
+        let held = self.fds.get_mut(&fd)?;
+        let shadow = held.remove(pick(held, thread)?);
+        if held.is_empty() {
+            self.fds.remove(&fd);
+        }
+        Some(shadow)
     }
 }
 
@@ -464,8 +525,12 @@ mod tests {
         o.world.lock().state.file_contents(path)
     }
 
+    fn root() -> ThreadKey {
+        ThreadKey::root()
+    }
+
     fn shadow(o: &Overlay, fd: i64) -> Option<Shadow> {
-        o.world.lock().fds.get(&fd).cloned()
+        o.world.lock().shadow(fd, &root()).cloned()
     }
 
     fn taint_events(c: &Coupling) -> usize {
@@ -482,9 +547,9 @@ mod tests {
         // The slave's private read sees the master's content, not the
         // stale configured one.
         let fd = o
-            .exec(&c, Syscall::Open, &[s("/shared.txt"), i(0)])
+            .exec(&c, &root(), Syscall::Open, &[s("/shared.txt"), i(0)])
             .unwrap();
-        let data = o.exec(&c, Syscall::Read, &[fd, i(64)]).unwrap();
+        let data = o.exec(&c, &root(), Syscall::Read, &[fd, i(64)]).unwrap();
         assert_eq!(data, s("master-write"));
     }
 
@@ -492,9 +557,10 @@ mod tests {
     fn slave_writes_never_reach_master() {
         let (master, o, c) = setup();
         let fd = o
-            .exec(&c, Syscall::Open, &[s("/shared.txt"), i(1)])
+            .exec(&c, &root(), Syscall::Open, &[s("/shared.txt"), i(1)])
             .unwrap();
-        o.exec(&c, Syscall::Write, &[fd, s("slave-only")]).unwrap();
+        o.exec(&c, &root(), Syscall::Write, &[fd, s("slave-only")])
+            .unwrap();
         assert_eq!(private_contents(&o, "/shared.txt").unwrap(), "slave-only");
         assert_eq!(master.file_contents("/shared.txt").unwrap(), "from-config");
     }
@@ -503,18 +569,18 @@ mod tests {
     fn clone_happens_once() {
         let (master, o, c) = setup();
         // First access clones.
-        o.exec(&c, Syscall::Open, &[s("/shared.txt"), i(0)])
+        o.exec(&c, &root(), Syscall::Open, &[s("/shared.txt"), i(0)])
             .unwrap();
         // The master changes afterwards...
         master_write(&master, "/shared.txt", "late");
         // ...but the path is tainted: nothing on it is shared, and a later
         // private open still sees the slave's own copy.
-        assert!(!o.share(Syscall::Open, &[s("/shared.txt"), i(0)], &i(3)));
+        assert!(!o.share(&root(), Syscall::Open, &[s("/shared.txt"), i(0)], &i(3)));
         assert_eq!(private_contents(&o, "/shared.txt").unwrap(), "from-config");
         let fd = o
-            .exec(&c, Syscall::Open, &[s("/shared.txt"), i(0)])
+            .exec(&c, &root(), Syscall::Open, &[s("/shared.txt"), i(0)])
             .unwrap();
-        let data = o.exec(&c, Syscall::Read, &[fd, i(64)]).unwrap();
+        let data = o.exec(&c, &root(), Syscall::Read, &[fd, i(64)]).unwrap();
         assert_eq!(data, s("from-config"));
         assert_eq!(taint_events(&c), 1);
     }
@@ -525,7 +591,7 @@ mod tests {
         let path = [SysArg::Str("/shared.txt".into())];
         master.syscall(Syscall::Unlink, &path).unwrap();
         assert_eq!(
-            o.exec(&c, Syscall::Open, &[s("/shared.txt"), i(0)])
+            o.exec(&c, &root(), Syscall::Open, &[s("/shared.txt"), i(0)])
                 .unwrap(),
             i(-1),
             "the slave must agree the file is gone"
@@ -545,41 +611,67 @@ mod tests {
             .unwrap();
         // The slave connects privately: it continues from the master's
         // script position (r2), not from the beginning.
-        let sock = o.exec(&c, Syscall::Connect, &[s("host")]).unwrap();
-        let got = o.exec(&c, Syscall::Recv, &[sock.clone(), i(16)]).unwrap();
+        let sock = o.exec(&c, &root(), Syscall::Connect, &[s("host")]).unwrap();
+        let got = o
+            .exec(&c, &root(), Syscall::Recv, &[sock.clone(), i(16)])
+            .unwrap();
         assert_eq!(got, s("r2"));
         // And the slave's sends do not reach the master's transcript.
-        o.exec(&c, Syscall::Send, &[sock, s("x")]).unwrap();
+        o.exec(&c, &root(), Syscall::Send, &[sock, s("x")]).unwrap();
         assert!(master.sent_to("host").is_empty());
     }
 
     #[test]
     fn tracks_open_read_seek_close() {
         let (_, o, _) = setup();
-        assert!(o.share(Syscall::Open, &[s("//f/"), i(0)], &i(3)));
-        assert!(o.share(Syscall::Read, &[i(3), i(5)], &s("abcde")));
+        assert!(o.share(&root(), Syscall::Open, &[s("//f/"), i(0)], &i(3)));
+        assert!(o.share(&root(), Syscall::Read, &[i(3), i(5)], &s("abcde")));
         assert_eq!(shadow(&o, 3).unwrap().pos, 5);
-        assert!(o.share(Syscall::Seek, &[i(3), i(1)], &i(0)));
+        assert!(o.share(&root(), Syscall::Seek, &[i(3), i(1)], &i(0)));
         let opened = shadow(&o, 3).unwrap();
         assert_eq!(opened.pos, 1);
         assert_eq!(opened.resource, Resource::File(vec!["f".to_string()]));
         assert_eq!((opened.flags, opened.private), (0, None));
-        assert!(o.share(Syscall::Close, &[i(3)], &i(0)));
+        assert!(o.share(&root(), Syscall::Close, &[i(3)], &i(0)));
         assert!(shadow(&o, 3).is_none());
+    }
+
+    #[test]
+    fn a_reused_number_means_each_threads_own_descriptor() {
+        let (_, o, _) = setup();
+        let worker = root().child(0);
+        let resource = |t: &ThreadKey| o.world.lock().shadow(3, t).map(|s| s.resource.clone());
+        let peer = Resource::Peer("host".to_string());
+        let file = Resource::File(vec!["shared.txt".to_string()]);
+        assert!(o.share(&root(), Syscall::Connect, &[s("host")], &i(3)));
+        // The master closed 3 and reused it for the worker, whose open the
+        // slave shares while its root thread still holds the first 3.
+        assert!(o.share(&worker, Syscall::Open, &[s("/shared.txt"), i(0)], &i(3)));
+        assert_eq!(resource(&root()), Some(peer));
+        assert_eq!(resource(&worker), Some(file.clone()));
+        assert_eq!(
+            resource(&root().child(1)),
+            Some(file.clone()),
+            "the last opened"
+        );
+        assert!(o.share(&root(), Syscall::Close, &[i(3)], &i(0)));
+        assert_eq!(resource(&root()), Some(file));
+        assert!(o.share(&worker, Syscall::Close, &[i(3)], &i(0)));
+        assert!(o.world.lock().fds.is_empty());
     }
 
     #[test]
     fn failed_opens_not_tracked() {
         let (_, o, _) = setup();
-        assert!(o.share(Syscall::Open, &[s("/missing"), i(0)], &i(-1)));
+        assert!(o.share(&root(), Syscall::Open, &[s("/missing"), i(0)], &i(-1)));
         assert!(shadow(&o, -1).is_none());
     }
 
     #[test]
     fn accept_indices_increment() {
         let (_, o, _) = setup();
-        o.share(Syscall::Accept, &[i(80)], &i(3));
-        o.share(Syscall::Accept, &[i(80)], &i(4));
+        o.share(&root(), Syscall::Accept, &[i(80)], &i(3));
+        o.share(&root(), Syscall::Accept, &[i(80)], &i(4));
         let client = shadow(&o, 4).unwrap();
         assert_eq!((client.resource, client.index), (Resource::Client(80), 1));
         assert_eq!(o.world.lock().accepts, 2);
@@ -588,9 +680,9 @@ mod tests {
     #[test]
     fn unknown_fd_updates_are_noops() {
         let (_, o, _) = setup();
-        o.share(Syscall::Read, &[i(9), i(4)], &s("abcd"));
-        o.share(Syscall::Seek, &[i(9), i(2)], &i(0));
-        o.share(Syscall::Close, &[i(9)], &i(-1));
+        o.share(&root(), Syscall::Read, &[i(9), i(4)], &s("abcd"));
+        o.share(&root(), Syscall::Seek, &[i(9), i(2)], &i(0));
+        o.share(&root(), Syscall::Close, &[i(9)], &i(-1));
         assert!(o.world.lock().fds.is_empty());
     }
 
@@ -598,12 +690,12 @@ mod tests {
     fn taint_normalizes_paths() {
         let (_, o, c) = setup();
         // A descriptor on `a/b` obtained while coupled.
-        assert!(o.share(Syscall::Open, &[s("a/b"), i(0)], &i(7)));
-        o.exec(&c, Syscall::Stat, &[s("/a//b/")]).unwrap();
-        assert!(!o.share(Syscall::Open, &[s("a/b"), i(0)], &i(8)));
-        assert!(!o.share(Syscall::Read, &[i(7), i(1)], &s("x")));
-        assert!(o.share(Syscall::Open, &[s("/a"), i(0)], &i(8)));
-        o.exec(&c, Syscall::Stat, &[s("a/./b")]).unwrap();
+        assert!(o.share(&root(), Syscall::Open, &[s("a/b"), i(0)], &i(7)));
+        o.exec(&c, &root(), Syscall::Stat, &[s("/a//b/")]).unwrap();
+        assert!(!o.share(&root(), Syscall::Open, &[s("a/b"), i(0)], &i(8)));
+        assert!(!o.share(&root(), Syscall::Read, &[i(7), i(1)], &s("x")));
+        assert!(o.share(&root(), Syscall::Open, &[s("/a"), i(0)], &i(8)));
+        o.exec(&c, &root(), Syscall::Stat, &[s("a/./b")]).unwrap();
         assert_eq!(taint_events(&c), 1);
     }
 }

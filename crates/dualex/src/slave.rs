@@ -1,7 +1,7 @@
 //! The slave execution's syscall wrapper.
 //!
 //! For every syscall the slave checks its alignment against the master's
-//! outcome queue using the progress key (paper §4.2):
+//! outcome log using the progress key (paper §4.2):
 //!
 //! * **behind entries** (master-only syscalls) are skipped and counted as
 //!   syscall differences — master-only *sinks* become causality records;
@@ -87,7 +87,8 @@ impl SlaveHooks {
     /// while both executions run.
     fn align(&self, ctx: &SyscallCtx, args: &[Value], is_sink: bool) -> Align {
         // Behind entries: master-only syscalls the slave will never issue.
-        let next = self.coupling.pair(&ctx.thread).next_for_slave(ctx, |e| {
+        let pair = self.coupling.pair(&ctx.thread);
+        let next = pair.next_for_slave(ctx, |e| {
             self.coupling
                 .master_only(Role::Slave, &ctx.thread, e, CausalityKind::MasterOnlySink)
         });
@@ -102,7 +103,7 @@ impl SlaveHooks {
                     }
                     self.coupling
                         .note(Role::Slave, Decision::Shared, Call::at(ctx, is_sink));
-                    return Align::Shared(e.outcome);
+                    return Align::Shared(e.outcome.clone());
                 }
                 // Same site, different arguments (Alg. 2 case 3).
                 if is_sink {
@@ -139,7 +140,7 @@ impl SlaveHooks {
                 self.coupling.master_only(
                     Role::Slave,
                     &ctx.thread,
-                    e,
+                    &e,
                     CausalityKind::PathDiffAtSink,
                 );
                 if is_sink {
@@ -161,13 +162,14 @@ impl SlaveHooks {
 
     /// Mutation of the first configured source the syscall matches.
     fn source_mutation(&self, ctx: &SyscallCtx, args: &[Value]) -> Option<Mutation> {
-        self.overlay.with_resource(fd_arg(args), |resource| {
-            let (_, mutation) = self
-                .sources
-                .matching(ctx.func, ctx.site, ctx.sys, resource)
-                .next()?;
-            Some(mutation.clone())
-        })
+        self.overlay
+            .with_resource(&ctx.thread, fd_arg(args), |resource| {
+                let (_, mutation) = self
+                    .sources
+                    .matching(ctx.func, ctx.site, ctx.sys, resource)
+                    .next()?;
+                Some(mutation.clone())
+            })
     }
 
     /// Executes a syscall against the private overlay world.
@@ -179,7 +181,8 @@ impl SlaveHooks {
     ) -> Result<Value, Trap> {
         self.coupling
             .note(Role::Slave, Decision::Decoupled, Call::at(ctx, is_sink));
-        self.overlay.exec(&self.coupling, ctx.sys, args)
+        self.overlay
+            .exec(&self.coupling, &ctx.thread, ctx.sys, args)
     }
 }
 
@@ -258,7 +261,7 @@ impl SyscallHooks for SlaveHooks {
                     self.align(ctx, args, is_sink)
                 };
                 let mut outcome = match alignment {
-                    Align::Shared(v) if self.overlay.share(sys, args, &v) => v,
+                    Align::Shared(v) if self.overlay.share(&ctx.thread, sys, args, &v) => v,
                     // Aligned but on a tainted resource: consume the entry
                     // (done in align) yet execute privately (paper §7:
                     // "future syscalls on the resource cannot be coupled").
@@ -300,7 +303,7 @@ impl SyscallHooks for SlaveHooks {
         // the ordering (detection mode; see DESIGN.md).
         let _s = ldx_obs::span(ldx_obs::cat::BARRIER_WAIT, "loop-barrier");
         let pair = self.coupling.pair(thread);
-        pair.publish(Role::Slave, key.clone());
+        pair.publish(Role::Slave, key);
         self.coupling.flight(Role::Slave, || FlightEvent::Barrier {
             thread: thread.clone(),
             key: key.clone(),

@@ -24,6 +24,11 @@ impl ThreadKey {
         ThreadKey(vec![0])
     }
 
+    /// Whether this is the root thread's key.
+    pub fn is_root(&self) -> bool {
+        self.0 == [0]
+    }
+
     /// The key of this thread's `index`-th spawned child (0-based).
     pub fn child(&self, index: u32) -> Self {
         let mut v = self.0.clone();
