@@ -22,15 +22,14 @@
 //!
 //! # The outcome log
 //!
-//! Each pair owns an append-only log with one writer, the pair's master
+//! Each pair owns a [`Log`], append-only with one writer, the pair's master
 //! thread. An item is a syscall [`Entry`] or a progress key the master
 //! published at a loop barrier, so the master's progress is the key of its
-//! last item. Items live in fixed-size segments: the master fills a slot,
-//! then publishes the log length. The slave reads up to that length with a
-//! private cursor. It compares entries in place, clones only an aligned
-//! outcome (`Value` payloads are `Arc`s, so that is a reference count),
-//! and never frees an entry: the master does (see below). On this path
-//! the two roles share no lock.
+//! last item. The master writes slot `len`, then stores the length; the
+//! slave reads up to that length with a cursor only it advances. It
+//! compares entries in place and clones only an aligned outcome (`Value`
+//! payloads are `Arc`s, so that is a reference count). On this path the two
+//! roles share no lock.
 //!
 //! # The wake rule
 //!
@@ -47,14 +46,15 @@
 //! most a 2 ms slice before the waiter polls again: the slices, the stop
 //! signal and `MAX_WAIT` are safety valves only.
 //!
-//! # Reclamation
+//! # Lifetime
 //!
-//! The slave publishes the start of the segment its cursor is in. When the
-//! master starts a new segment it frees every segment wholly before that
-//! one, so frees stay on the allocating thread and, while the master
-//! appends, a pair holds at most the slave's lag plus two segments.
-//! Segments the slave passes after the master's last append stay until
-//! the pair is dropped.
+//! A log keeps every item for the life of its pair, so a finished master's
+//! whole log stays readable. Slots sit in buckets of doubling size that the
+//! master allocates once and that never move, which is what lets
+//! [`Next::Aligned`] lend an entry straight out of the log. The pairs, and
+//! with them every bucket, are freed when `dual_execute` drops the
+//! [`Coupling`] on the calling thread, where the root master allocated
+//! them.
 //!
 //! **The top key means finished.** A finished thread (or a whole finished
 //! execution, for pairs created after it) publishes
@@ -70,8 +70,8 @@ use crate::report::{CausalityKind, CausalityRecord, Role};
 use ldx_ir::{FuncId, SiteId};
 use ldx_lang::Syscall;
 use ldx_runtime::{ProgressKey, ProgressOrder, StopSignal, SyscallCtx, ThreadKey, Value};
-use parking_lot::{Condvar, Mutex, MutexGuard};
-use std::collections::{HashMap, VecDeque};
+use parking_lot::{Condvar, Mutex};
+use std::collections::HashMap;
 use std::ops::Deref;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -85,8 +85,11 @@ const MAX_WAIT: Duration = Duration::from_secs(30);
 /// the stop signal, which wakes nobody).
 const SLICE: Duration = Duration::from_millis(2);
 
-/// Log slots per segment.
-const SEGMENT: u64 = 64;
+/// Slots in a log's first bucket; bucket `b` holds `FIRST << b`.
+const FIRST: u64 = 64;
+
+/// Buckets per log: room for `FIRST * (2^BUCKETS - 1)` items.
+const BUCKETS: usize = 32;
 
 /// One master syscall outcome, logged for the slave.
 #[derive(Debug)]
@@ -118,98 +121,58 @@ impl Item {
     }
 }
 
-/// `SEGMENT` consecutive log slots, each written once by the master.
-#[derive(Debug)]
-struct Segment {
-    /// Log index of the first slot.
-    start: u64,
-    slots: Box<[OnceLock<Item>]>,
-    /// The following segment, linked before any of its items is published.
-    next: OnceLock<Arc<Segment>>,
+/// The bucket and offset of log index `i`.
+fn locate(i: u64) -> (usize, usize) {
+    let b = (i + FIRST).ilog2() - FIRST.ilog2();
+    (b as usize, (i + FIRST - (FIRST << b)) as usize)
 }
 
-impl Segment {
-    fn new(start: u64) -> Self {
-        Segment {
-            start,
-            slots: (0..SEGMENT).map(|_| OnceLock::new()).collect(),
-            next: OnceLock::new(),
+/// A pair's outcome log: slots written once by the master, in buckets that
+/// live as long as the log.
+#[derive(Debug)]
+struct Log {
+    buckets: [OnceLock<Box<[OnceLock<Item>]>>; BUCKETS],
+    /// Items published: stored after the item's slot is written.
+    len: Padded<AtomicU64>,
+}
+
+impl Default for Log {
+    fn default() -> Self {
+        Log {
+            buckets: [const { OnceLock::new() }; BUCKETS],
+            len: Padded::default(),
         }
     }
+}
 
-    fn end(&self) -> u64 {
-        self.start + SEGMENT
+impl Log {
+    /// The published length.
+    fn len(&self) -> u64 {
+        self.len.load(Ordering::SeqCst)
     }
 
-    /// The published item at log index `i`.
-    fn item(&self, i: u64) -> &Item {
-        self.slots[(i - self.start) as usize]
+    /// The published item at index `i`.
+    fn get(&self, i: u64) -> &Item {
+        let (b, at) = locate(i);
+        self.buckets[b]
             .get()
+            .and_then(|bucket| bucket[at].get())
             .expect("items are read only below the published length")
     }
-}
 
-/// The slave's end of a pair's log.
-#[derive(Debug)]
-struct Reader {
-    /// The segment of the last consumed item (the first segment before
-    /// any): it steps forward only when the cursor needs the next one.
-    seg: Arc<Segment>,
-    /// Items before the cursor are consumed.
-    cursor: u64,
-}
-
-impl Reader {
-    /// The item at the cursor, stepping into the next segment (and
-    /// publishing the step in `released`) when the cursor has left this
-    /// one. The item must be published.
-    fn at_cursor(&mut self, released: &AtomicU64) -> &Item {
-        if self.cursor == self.seg.end() {
-            let next = Arc::clone(self.seg.next.get().expect("next segment linked"));
-            self.seg = next;
-            released.store(self.seg.start, Ordering::Release);
-        }
-        self.seg.item(self.cursor)
+    /// The item at the end of the published log.
+    fn last(&self) -> Option<&Item> {
+        self.len().checked_sub(1).map(|i| self.get(i))
     }
 
-    /// Consumes the published items `..len` up to the one `key` aligns
-    /// with. Behind entries go to `skip`; barrier progress is passed over.
-    /// An equal entry is taken (`Some(true)`); an ahead or divergent one is
-    /// left unconsumed (`Some(false)`). With every item consumed, the
-    /// master is past `key` (`Some(false)`) when it finished or its last
-    /// item is not behind `key`; otherwise the slave must wait (`None`).
-    fn scan(
-        &mut self,
-        len: u64,
-        done: bool,
-        key: &ProgressKey,
-        released: &AtomicU64,
-        skip: &mut impl FnMut(&Entry),
-    ) -> Option<bool> {
-        while self.cursor < len {
-            let order = match self.at_cursor(released) {
-                Item::Progress(_) => ProgressOrder::Behind,
-                Item::Call(e) => {
-                    let order = e.key.cmp_progress(key);
-                    if order == ProgressOrder::Behind {
-                        skip(e);
-                    }
-                    order
-                }
-            };
-            match order {
-                ProgressOrder::Behind => self.cursor += 1,
-                ProgressOrder::Equal => {
-                    self.cursor += 1;
-                    return Some(true);
-                }
-                ProgressOrder::Ahead | ProgressOrder::Divergent => return Some(false),
-            }
-        }
-        // The cursor is at `len`, so the last item is in `seg`.
-        let last = len.checked_sub(1).map(|i| self.seg.item(i).key());
-        (done || last.is_some_and(|k| k.cmp_progress(key) != ProgressOrder::Behind))
-            .then_some(false)
+    /// The master's append: writes slot `len`, then publishes it.
+    fn push(&self, item: Item) {
+        let i = self.len.load(Ordering::Relaxed);
+        let (b, at) = locate(i);
+        let bucket =
+            self.buckets[b].get_or_init(|| (0..FIRST << b).map(|_| OnceLock::new()).collect());
+        bucket[at].set(item).expect("slot written once");
+        self.len.store(i + 1, Ordering::SeqCst);
     }
 }
 
@@ -257,26 +220,11 @@ struct Probe {
 /// What the slave's syscall aligns with (see [`Pair::next_for_slave`]).
 pub(crate) enum Next<'a> {
     /// The master's entry at exactly the slave's key, now consumed.
-    Aligned(Taken<'a>),
+    Aligned(&'a Entry),
     /// The master is provably past the slave's key: no entry will align.
     MasterPast,
     /// The stop signal fired or the wait hit `MAX_WAIT`.
     GaveUp,
-}
-
-/// A consumed entry, read in place in the log (the pair's reader stays
-/// locked while it is held).
-pub(crate) struct Taken<'a>(MutexGuard<'a, Reader>);
-
-impl Deref for Taken<'_> {
-    type Target = Entry;
-
-    fn deref(&self) -> &Entry {
-        match self.0.seg.item(self.0.cursor - 1) {
-            Item::Call(e) => e,
-            Item::Progress(_) => unreachable!("only entries are taken"),
-        }
-    }
 }
 
 /// One blocking wait's safety valves and stall timing.
@@ -306,48 +254,21 @@ impl Wait {
 }
 
 /// A thread pair's outcome log and wake-up cell.
+#[derive(Default)]
 pub(crate) struct Pair {
-    /// Master-owned: the live segments, oldest first; items are appended
-    /// to the last one.
-    segments: Padded<Mutex<VecDeque<Arc<Segment>>>>,
-    /// Items published (stored after the item's slot is written; only the
-    /// master, holding `segments`, stores it).
-    len: Padded<AtomicU64>,
+    /// Master-written.
+    log: Log,
     /// The master's thread finished: its progress is the top key.
     master_done: Padded<AtomicBool>,
     /// The slave announced a park.
     slave_parked: Padded<AtomicBool>,
-    /// Slave-owned: the read end.
-    reader: Padded<Mutex<Reader>>,
-    /// Start of the reader's segment: every segment before it is free.
-    /// The reader stores it (Release) after dropping its reference to the
-    /// segment it left; the master loads it (Acquire) to reclaim.
-    released: Padded<AtomicU64>,
+    /// Items before it are consumed. Only the slave advances it (and
+    /// [`Pair::drain`], once the slave is done).
+    cursor: Padded<AtomicU64>,
     park: Padded<Mutex<Parking>>,
     cv: Condvar,
     #[cfg(test)]
     probe: Probe,
-}
-
-impl Default for Pair {
-    fn default() -> Self {
-        let first = Arc::new(Segment::new(0));
-        Pair {
-            segments: Padded(Mutex::new(VecDeque::from([Arc::clone(&first)]))),
-            len: Padded::default(),
-            master_done: Padded::default(),
-            slave_parked: Padded::default(),
-            reader: Padded(Mutex::new(Reader {
-                seg: first,
-                cursor: 0,
-            })),
-            released: Padded::default(),
-            park: Padded::default(),
-            cv: Condvar::new(),
-            #[cfg(test)]
-            probe: Probe::default(),
-        }
-    }
 }
 
 impl Pair {
@@ -380,16 +301,12 @@ impl Pair {
         match role {
             Role::Slave => f(self.park.lock().slave_ready.as_ref()),
             Role::Master if self.master_done.load(Ordering::SeqCst) => f(Some(&ProgressKey::top())),
-            Role::Master => {
-                let segments = self.segments.lock();
-                let last = self.len.load(Ordering::SeqCst).checked_sub(1);
-                f(last.map(|i| segments.back().expect("live").item(i).key()))
-            }
+            Role::Master => f(self.log.last().map(Item::key)),
         }
     }
 
     /// Blocks the master until the slave's progress is not behind `key`.
-    /// Returns false when released by the stop signal or `MAX_WAIT`
+    /// Returns false when the stop signal or `MAX_WAIT` ends the wait
     /// instead.
     pub fn wait_past(&self, key: &ProgressKey, stop: &StopSignal) -> bool {
         let mut wait = Wait::default();
@@ -420,73 +337,80 @@ impl Pair {
         self.publish_slave(&ctx.key);
         let timed = ldx_obs::enabled();
         let mut wait = Wait::default();
-        let mut reader = self.reader.lock();
-        let found = loop {
+        let mut cursor = self.cursor.load(Ordering::Relaxed);
+        let next = loop {
             // `done` before `len`: a finished master has published all.
             let done = self.master_done.load(Ordering::SeqCst);
-            let len = self.len.load(Ordering::SeqCst);
-            if let Some(aligned) = reader.scan(len, done, &ctx.key, &self.released, &mut skip) {
-                break Some(aligned);
+            let len = self.log.len();
+            if let Some(next) = self.scan(&mut cursor, len, done, &ctx.key, &mut skip) {
+                break next;
             }
             if !wait.may_park(&ctx.stop, timed) {
-                break None;
+                break Next::GaveUp;
             }
             self.park_slave(len, &mut wait);
         };
+        self.cursor.store(cursor, Ordering::Relaxed);
         if timed && wait.parks > 0 {
             self.report_stall(ctx, &wait);
         }
-        match found {
-            Some(true) => Next::Aligned(Taken(reader)),
-            Some(false) => Next::MasterPast,
-            None => Next::GaveUp,
-        }
+        next
     }
 
     /// Consumes every item still unconsumed, handing its entries to `f`.
     pub fn drain(&self, mut f: impl FnMut(&Entry)) {
-        let mut reader = self.reader.lock();
-        let len = self.len.load(Ordering::SeqCst);
-        while reader.cursor < len {
-            if let Item::Call(e) = reader.at_cursor(&self.released) {
+        let len = self.log.len();
+        for i in self.cursor.swap(len, Ordering::Relaxed)..len {
+            if let Item::Call(e) = self.log.get(i) {
                 f(e);
             }
-            reader.cursor += 1;
         }
+    }
+
+    /// Consumes the published items `cursor..len` up to the one `key`
+    /// aligns with. Behind entries go to `skip`; barrier progress is passed
+    /// over. An equal entry is taken; at an ahead or divergent one the
+    /// master is past `key`, and the entry stays unconsumed. With every item
+    /// consumed, the master is past `key` when it finished or its last item
+    /// is not behind `key`; otherwise the slave must wait (`None`).
+    fn scan(
+        &self,
+        cursor: &mut u64,
+        len: u64,
+        done: bool,
+        key: &ProgressKey,
+        skip: &mut impl FnMut(&Entry),
+    ) -> Option<Next<'_>> {
+        while *cursor < len {
+            if let Item::Call(e) = self.log.get(*cursor) {
+                match e.key.cmp_progress(key) {
+                    ProgressOrder::Behind => skip(e),
+                    ProgressOrder::Equal => {
+                        *cursor += 1;
+                        return Some(Next::Aligned(e));
+                    }
+                    ProgressOrder::Ahead | ProgressOrder::Divergent => {
+                        return Some(Next::MasterPast)
+                    }
+                }
+            }
+            *cursor += 1;
+        }
+        let last = len.checked_sub(1).map(|i| self.log.get(i).key());
+        (done || last.is_some_and(|k| k.cmp_progress(key) != ProgressOrder::Behind))
+            .then_some(Next::MasterPast)
     }
 
     /// The master's append: fill the next slot, publish the length, and
     /// wake the slave only if it announced a park.
     fn append(&self, item: Item) {
-        let mut segments = self.segments.lock();
-        let i = self.len.load(Ordering::Relaxed);
-        if i == segments.back().expect("live").end() {
-            self.reclaim(&mut segments);
-            let seg = Arc::new(Segment::new(i));
-            let tail = segments.back().expect("live");
-            tail.next.set(Arc::clone(&seg)).expect("linked once");
-            segments.push_back(seg);
-        }
-        let tail = segments.back().expect("live");
-        tail.slots[(i - tail.start) as usize]
-            .set(item)
-            .expect("slot written once");
-        self.len.store(i + 1, Ordering::SeqCst);
-        drop(segments);
+        self.log.push(item);
         // Claiming the flag wakes a parked slave once, not per publish.
         if self.slave_parked.swap(false, Ordering::SeqCst) {
             self.wake();
         } else {
             #[cfg(test)]
-            self.probe.unwoken.store(i + 1, Ordering::SeqCst);
-        }
-    }
-
-    /// Frees the segments the slave has left, here on the master's thread.
-    fn reclaim(&self, segments: &mut VecDeque<Arc<Segment>>) {
-        let released = self.released.load(Ordering::Acquire);
-        while segments.front().is_some_and(|s| s.end() <= released) {
-            segments.pop_front();
+            self.probe.unwoken.store(self.log.len(), Ordering::SeqCst);
         }
     }
 
@@ -495,7 +419,7 @@ impl Pair {
     fn park_slave(&self, len: u64, wait: &mut Wait) {
         let mut park = self.park.lock();
         self.slave_parked.store(true, Ordering::SeqCst);
-        if !self.master_done.load(Ordering::SeqCst) && self.len.load(Ordering::SeqCst) == len {
+        if !self.master_done.load(Ordering::SeqCst) && self.log.len() == len {
             wait.parks += 1;
             let _timed_out = self.cv.wait_for(&mut park, SLICE).timed_out();
             #[cfg(test)]
@@ -551,12 +475,6 @@ impl Pair {
             ns,
             vec![("delta", delta as i64), ("waits", wait.parks as i64)],
         );
-    }
-
-    /// Log slots the master still holds.
-    #[cfg(test)]
-    fn retained(&self) -> u64 {
-        self.segments.lock().len() as u64 * SEGMENT
     }
 }
 
@@ -773,6 +691,13 @@ impl Coupling {
         self.records.lock().push(record);
     }
 
+    /// The most items one pair's log holds.
+    pub fn log_items_max(&self) -> u64 {
+        let spawned = self.spawned.lock();
+        let spawned = spawned.by_thread.values().map(|p| p.log.len());
+        spawned.fold(self.root.log.len(), u64::max)
+    }
+
     /// Drains every unconsumed master entry at the end of the run:
     /// master-only syscall differences, including master-only sinks.
     /// Pairs are drained in `ThreadKey` order (the root's first) so records
@@ -849,7 +774,7 @@ mod tests {
     }
 
     #[test]
-    fn pair_created_after_execution_end_is_released() {
+    fn pair_created_after_execution_end_starts_finished() {
         let c = Coupling::new(false);
         c.finish_execution(Role::Master);
         let p = c.pair(&ThreadKey::root().child(3));
@@ -1008,41 +933,54 @@ mod tests {
         assert_eq!(p.probe.parks.load(Ordering::Relaxed), 0);
     }
 
-    /// The master frees what the slave has passed, so a pair holds the
-    /// slave's lag plus at most two segments, and never less than the lag.
+    /// Bucket `b` starts at log index `FIRST * (2^b - 1)` and holds
+    /// `FIRST << b` slots.
     #[test]
-    fn retained_entries_are_bounded_by_the_slave_lag() {
+    fn log_indices_map_onto_doubling_buckets() {
+        assert_eq!(locate(0), (0, 0));
+        assert_eq!(locate(FIRST - 1), (0, FIRST as usize - 1));
+        for b in 1..BUCKETS {
+            let start = FIRST * ((1 << b) - 1);
+            let last = (FIRST << (b - 1)) as usize - 1;
+            assert_eq!(locate(start - 1), (b - 1, last), "end of bucket {}", b - 1);
+            assert_eq!(locate(start), (b, 0), "start of bucket {b}");
+        }
+        let end = FIRST * ((1 << BUCKETS) - 1);
+        assert_eq!(
+            locate(end - 1),
+            (BUCKETS - 1, (FIRST << (BUCKETS - 1)) as usize - 1)
+        );
+    }
+
+    /// A finished master's whole log stays readable: a slave that starts
+    /// only then consumes every entry in order, without a skip or a park.
+    #[test]
+    fn a_finished_masters_log_replays_in_full() {
+        const N: u64 = 10_000;
         let c = Coupling::new(false);
         let p = c.pair(&ThreadKey::root());
+        for cnt in 1..=N {
+            p.push(entry(cnt, (cnt % 5) as u32, false));
+            if cnt.is_multiple_of(3) {
+                p.publish(Role::Master, &key(cnt));
+            }
+        }
+        p.finish(Role::Master);
+        // Past seven buckets: 64 + 128 + ... + 4096 = 8128 slots.
+        assert!(p.log.len() > FIRST * ((1 << 7) - 1));
         let stop = StopSignal::new();
-        for cnt in 1..=10_000 {
-            p.push(entry(cnt, 0, false));
-            assert!(matches!(
-                p.next_for_slave(&ctx(cnt, &stop), |_| {}),
-                Next::Aligned(_)
-            ));
+        for cnt in 1..=N {
+            let next = p.next_for_slave(&ctx(cnt, &stop), |e| {
+                panic!("entry {} skipped at {cnt}", e.key)
+            });
             assert!(
-                p.retained() <= 2 * SEGMENT,
-                "{} slots at {cnt}",
-                p.retained()
+                matches!(next, Next::Aligned(e) if e.outcome == Value::Int(cnt as i64)
+                    && e.site == SiteId((cnt % 5) as u32)),
+                "no alignment at {cnt}"
             );
         }
-        let lag = 1_000;
-        for cnt in 10_001..=10_000 + lag {
-            p.push(entry(cnt, 0, false));
-        }
-        assert!(p.retained() >= lag);
-        assert!(p.retained() <= lag + 2 * SEGMENT);
-        for cnt in 10_001..=10_000 + lag {
-            let next = p.next_for_slave(&ctx(cnt, &stop), |_| panic!("in order"));
-            assert!(matches!(next, Next::Aligned(e) if e.outcome == Value::Int(cnt as i64)));
-        }
-        p.push(entry(20_000, 0, false));
-        assert!(p.retained() <= lag + 2 * SEGMENT);
-        for cnt in 20_001..20_000 + 2 * SEGMENT {
-            p.push(entry(cnt, 0, false));
-        }
-        assert!(p.retained() <= 3 * SEGMENT, "{} slots", p.retained());
+        assert_eq!(p.probe.parks.load(Ordering::Relaxed), 0);
+        assert_eq!(unconsumed(&p), 0);
     }
 
     /// A master thread appends ~100k entries and barrier keys with random

@@ -139,6 +139,7 @@ fn dual_execute_inner(program: Arc<IrProgram>, config: &VosConfig, spec: &DualSp
             "dualex.master_sinks",
             coupling.stats.master_sinks.load(Ordering::Relaxed),
         );
+        ldx_obs::counter_max("dualex.log_items_max", coupling.log_items_max());
         ldx_obs::counter_add("recorder.events", flight.events());
         ldx_obs::counter_add("recorder.dropped", flight.dropped());
     }

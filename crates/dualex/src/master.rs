@@ -2,12 +2,15 @@
 //!
 //! The master runs against the real virtual world, appends every syscall
 //! outcome to its thread pair's outcome log, and publishes its progress so the
-//! slave can align. In the paper the master also blocks at sinks to
-//! compare arguments in-line (enforcement mode); this reproduction runs in
-//! *detection* mode — sink comparison happens when the slave reaches the
-//! aligned sink, or at end-of-run reconciliation for sinks the slave never
-//! reaches — which detects exactly the same causality set without the
-//! master-side stall (deviation documented in DESIGN.md).
+//! slave can align. In the paper the master also blocks at sinks and loop
+//! barriers until the slave catches up (enforcement mode). By default this
+//! reproduction runs in *detection* mode: sink comparison happens when the
+//! slave reaches the aligned sink, or at end-of-run reconciliation for sinks
+//! the slave never reaches, which detects exactly the same causality set
+//! without the master-side stall (deviation documented in DESIGN.md).
+//! [`DualSpec::enforcement`](crate::DualSpec::enforcement) restores the
+//! paper's lockstep: the master then waits for the slave before each sink
+//! and at each loop barrier.
 
 use crate::couple::{Call, Coupling, Entry};
 use crate::recorder::{key_scalar, Decision, FlightEvent};

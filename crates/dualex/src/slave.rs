@@ -140,7 +140,7 @@ impl SlaveHooks {
                 self.coupling.master_only(
                     Role::Slave,
                     &ctx.thread,
-                    &e,
+                    e,
                     CausalityKind::PathDiffAtSink,
                 );
                 if is_sink {

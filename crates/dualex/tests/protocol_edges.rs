@@ -363,6 +363,37 @@ fn enforcement_mode_quiet_on_identity() {
 }
 
 #[test]
+fn a_long_syscall_loop_aligns_in_both_modes() {
+    // ~12k outcome-log items (three syscalls and a barrier key per
+    // iteration), well past the log's fifth bucket.
+    let program = build(
+        r#"fn main() {
+            for (let i = 0; i < 3000; i = i + 1) {
+                let fd = open("/f", 0);
+                read(fd, 4);
+                close(fd);
+            }
+        }"#,
+    );
+    let world = VosConfig::new().file("/f", "data");
+    let detection = spec_file("/f", Mutation::Identity, SinkSpec::NetworkOut);
+    let enforcement = DualSpec {
+        enforcement: true,
+        ..detection.clone()
+    };
+    for spec in [detection, enforcement] {
+        let report = dual_execute(Arc::clone(&program), &world, &spec);
+        let master = report.master.as_ref().expect("master runs");
+        assert!(report.slave.is_ok());
+        assert_eq!(master.stats.syscalls, 9000);
+        assert_eq!(report.shared, master.stats.syscalls, "every syscall shared");
+        assert_eq!(report.decoupled, 0);
+        assert_eq!(report.syscall_diffs, 0);
+        assert!(report.causality.is_empty(), "{:?}", report.causality);
+    }
+}
+
+#[test]
 fn sources_on_entropy_syscalls() {
     // SyscallKind sources: mutate every random() outcome in the slave.
     let program = build(

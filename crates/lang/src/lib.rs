@@ -49,7 +49,7 @@ pub use token::{Token, TokenKind};
 
 /// Parses Lx source into a syntactically valid [`Program`].
 ///
-/// This performs lexing and parsing only; call [`resolve`] afterwards (or use
+/// This performs lexing and parsing only; call [`resolve()`] afterwards (or use
 /// [`compile`]) to check name binding, arities and assignability.
 ///
 /// # Errors
